@@ -372,39 +372,13 @@ let provenance_arg =
   in
   Arg.(value & flag & info [ "provenance" ] ~doc)
 
-let eval_arg =
-  let paths =
-    [
-      ("auto", Dpm_ctmdp.Policy_iteration.Auto);
-      ("dense", Dpm_ctmdp.Policy_iteration.Dense);
-      ("sparse", Dpm_ctmdp.Policy_iteration.Sparse);
-      ("implicit", Dpm_ctmdp.Policy_iteration.Implicit);
-    ]
-  in
-  let doc =
-    "Policy-evaluation backend: $(docv) is "
-    ^ Arg.doc_alts_enum paths
-    ^ ".  $(b,auto) (the default) picks dense LU below ~200 states and \
-       sparse Gauss-Seidel above; $(b,implicit) evaluates matrix-free \
-       over flattened rate arrays (no generator is ever materialized — \
-       the fastest and leanest path on large queue capacities, with the \
-       sparse-then-dense ladder as verified fallback).  All backends \
-       agree to solver tolerance; the choice is recorded in the solve \
-       provenance (see $(b,--provenance)) and keys the solver cache."
-  in
-  Arg.(
-    value
-    & opt (enum paths) Dpm_ctmdp.Policy_iteration.Auto
-    & info [ "eval" ] ~docv:"PATH" ~doc)
-
 let solve_cmd =
-  let run runtime device rate capacity weight no_validate deadline provenance
-      eval =
+  let run runtime device rate capacity weight no_validate deadline provenance =
     with_runtime runtime @@ fun () ->
     let sys = or_die (build_system device rate capacity) in
     validate_or_die sys ~no_validate;
     let guard = Dpm_robust.Guard.of_deadline deadline in
-    match Optimize.solve ~weight ~guard ~eval sys with
+    match Optimize.solve ~weight ~guard sys with
     | sol ->
         print_solution sys sol;
         if provenance then
@@ -417,8 +391,7 @@ let solve_cmd =
        ~doc:"Optimize the power-management policy for a given delay weight.")
     Term.(
       const run $ runtime_args $ device_arg $ rate_arg $ capacity_arg
-      $ weight_arg $ no_validate_arg $ deadline_arg $ provenance_arg
-      $ eval_arg)
+      $ weight_arg $ no_validate_arg $ deadline_arg $ provenance_arg)
 
 (* --- sweep ----------------------------------------------------------- *)
 

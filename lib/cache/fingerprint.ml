@@ -1,9 +1,8 @@
 module Model = Dpm_ctmdp.Model
-module Pi = Dpm_ctmdp.Policy_iteration
 
-type config = { ref_state : int; max_iter : int; eval : Pi.eval_path }
+type config = { ref_state : int; max_iter : int }
 
-let default_config = { ref_state = 0; max_iter = 1000; eval = Pi.Auto }
+let default_config = { ref_state = 0; max_iter = 1000 }
 let add_int buf i = Buffer.add_int64_le buf (Int64.of_int i)
 let add_float buf x = Buffer.add_int64_le buf (Int64.bits_of_float x)
 
@@ -58,18 +57,11 @@ let model m =
   encode_model buf m;
   Buffer.contents buf
 
-let eval_tag = function
-  | Pi.Dense -> 0
-  | Pi.Sparse -> 1
-  | Pi.Auto -> 2
-  | Pi.Implicit -> 3
-
 let key ?(config = default_config) m =
   let buf = Buffer.create 1024 in
-  Buffer.add_string buf "dpmc1";
+  Buffer.add_string buf "dpmc2";
   add_int buf config.ref_state;
   add_int buf config.max_iter;
-  add_int buf (eval_tag config.eval);
   encode_model buf m;
   Buffer.contents buf
 

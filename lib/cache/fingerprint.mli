@@ -17,20 +17,18 @@
     state-indexed consumer (policies, bias vectors, analytic
     metrics), so it must not collide.
 
-    The solver configuration (reference state, iteration budget,
-    evaluation backend) is folded into the key as a prefix: the same
-    model solved under a different configuration may legitimately
-    produce a different trace, so the cache keys on both. *)
+    The solver configuration (reference state, iteration budget) is
+    folded into the key as a prefix: the same model solved under a
+    different configuration may legitimately produce a different
+    trace, so the cache keys on both. *)
 
 type config = {
   ref_state : int;  (** bias reference state (solver default 0) *)
   max_iter : int;  (** policy-iteration budget (solver default 1000) *)
-  eval : Dpm_ctmdp.Policy_iteration.eval_path;
-      (** evaluation backend (solver default [Auto]) *)
 }
 
 val default_config : config
-(** [{ ref_state = 0; max_iter = 1000; eval = Auto }] — mirrors the
+(** [{ ref_state = 0; max_iter = 1000 }] — mirrors the
     {!Dpm_ctmdp.Policy_iteration.solve} defaults. *)
 
 val model : Dpm_ctmdp.Model.t -> string

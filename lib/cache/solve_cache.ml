@@ -98,8 +98,7 @@ let solve ?(config = Fingerprint.default_config) ?init ?guard m =
   | None ->
       let result =
         Pi.solve ~ref_state:config.Fingerprint.ref_state
-          ~max_iter:config.Fingerprint.max_iter ?init
-          ~eval:config.Fingerprint.eval ?guard m
+          ~max_iter:config.Fingerprint.max_iter ?init ?guard m
       in
       store ~config m result;
       result

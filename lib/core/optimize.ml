@@ -7,16 +7,9 @@ type solution = {
   provenance : Dpm_trace.Provenance.t;
 }
 
-let solve ?(weight = 0.0) ?init_actions ?guard
-    ?(eval = Dpm_ctmdp.Policy_iteration.Auto) sys =
+let solve ?(weight = 0.0) ?init_actions ?guard sys =
   let t0 = Dpm_obs.Probe.now () in
   let model = Sys_model.to_ctmdp sys ~weight in
-  (* The cache key includes the evaluation path: results agree to
-     solver tolerance across paths but are not bit-identical, and a
-     caller pinning [eval] is usually measuring that very path. *)
-  let config =
-    { Dpm_cache.Fingerprint.default_config with Dpm_cache.Fingerprint.eval }
-  in
   (* Identify the solve in provenance whatever path produced it; the
      hash is O(model) — noise next to any evaluation. *)
   let finish ~origin (result : Dpm_ctmdp.Policy_iteration.result) =
@@ -29,7 +22,7 @@ let solve ?(weight = 0.0) ?init_actions ?guard
       arrival_rate = Sys_model.arrival_rate sys;
     }
   in
-  match Dpm_cache.Solve_cache.find ~config model with
+  match Dpm_cache.Solve_cache.find model with
   | Some result ->
       let actions =
         Dpm_ctmdp.Policy.actions model result.Dpm_ctmdp.Policy_iteration.policy
@@ -44,7 +37,7 @@ let solve ?(weight = 0.0) ?init_actions ?guard
       }
   | None ->
       let solve_from init =
-        let result = Dpm_ctmdp.Policy_iteration.solve ?init ?guard ~eval model in
+        let result = Dpm_ctmdp.Policy_iteration.solve ?init ?guard model in
         let actions =
           Dpm_ctmdp.Policy.actions model
             result.Dpm_ctmdp.Policy_iteration.policy
@@ -73,7 +66,7 @@ let solve ?(weight = 0.0) ?init_actions ?guard
       in
       (* Store only the post-retry result: the cache must never serve a
          multichain tie that the retry just worked around. *)
-      Dpm_cache.Solve_cache.store ~config model result;
+      Dpm_cache.Solve_cache.store model result;
       {
         weight;
         actions;
@@ -89,9 +82,9 @@ let solve ?(weight = 0.0) ?init_actions ?guard
 
 let action_of sys solution x = solution.actions.(Sys_model.index sys x)
 
-let solve_at ?weight ?init_actions ?guard ?eval sys ~arrival_rate =
+let solve_at ?weight ?init_actions ?guard sys ~arrival_rate =
   let sys' = Sys_model.with_arrival_rate sys arrival_rate in
-  match solve ?weight ?init_actions ?guard ?eval sys' with
+  match solve ?weight ?init_actions ?guard sys' with
   | solution -> Ok (sys', solution)
   | exception ((Out_of_memory | Stack_overflow) as fatal) -> raise fatal
   | exception exn -> Error exn

@@ -26,7 +26,6 @@ val solve :
   ?weight:float ->
   ?init_actions:int array ->
   ?guard:(unit -> unit) ->
-  ?eval:Dpm_ctmdp.Policy_iteration.eval_path ->
   Sys_model.t ->
   solution
 (** [solve sys ~weight] minimizes
@@ -44,14 +43,7 @@ val solve :
     bypassed.  [init_actions] (e.g. a neighboring grid point's
     [actions]) warm-starts policy iteration; an action table that is
     the wrong size or requests a label some state lacks falls back to
-    a cold start ({!Dpm_cache.Warm.init_of_actions}).
-
-    [eval] (default [Auto]) selects the policy-evaluation backend
-    (see {!Dpm_ctmdp.Policy_iteration.eval_path}; the CLI's
-    [--eval] flag lands here).  The cache key includes it: results
-    agree across backends to solver tolerance but are not
-    bit-identical, and a caller pinning a backend is usually
-    measuring that very path. *)
+    a cold start ({!Dpm_cache.Warm.init_of_actions}). *)
 
 val action_of : Sys_model.t -> solution -> Sys_model.state -> int
 (** Read a solution as a policy function. *)
@@ -60,7 +52,6 @@ val solve_at :
   ?weight:float ->
   ?init_actions:int array ->
   ?guard:(unit -> unit) ->
-  ?eval:Dpm_ctmdp.Policy_iteration.eval_path ->
   Sys_model.t ->
   arrival_rate:float ->
   (Sys_model.t * solution, exn) result

@@ -30,9 +30,9 @@ let exit_rate_of (c : Model.choice) =
    with v_{ref} = 0 substituted (so rates into the reference state
    drop out and its column carries the gain unknown instead).
 
-   Both assemblies read the policy's transition structure straight
-   off [Model.choice] — O(n + nnz), no intermediate [Generator] and
-   no O(n^2) dense scan. *)
+   The assembly reads the policy's transition structure straight off
+   [Model.choice] — O(n + nnz), no intermediate [Generator] and no
+   O(n^2) dense scan. *)
 
 let dense_system ~ref_state m p =
   let n = Model.num_states m in
@@ -156,83 +156,35 @@ let evaluate_robust ?(ref_state = 0) m p =
       in
       attempt 0
 
-(* --- sparse evaluation --------------------------------------------- *)
+(* --- iterative evaluation ------------------------------------------- *)
 
-(* The policy's generator as CSR, straight from the choice rates. *)
-let sparse_generator m p =
-  let n = Model.num_states m in
-  let ts = ref [] in
-  for i = 0 to n - 1 do
-    let c = Model.choice m i (Policy.choice_index p i) in
-    let exit = exit_rate_of c in
-    if exit > 0.0 then ts := (i, i, -.exit) :: !ts;
-    List.iter
-      (fun (j, r) -> if r > 0.0 then ts := (i, j, r) :: !ts)
-      c.Model.rates
-  done;
-  Sparse.of_triplets ~rows:n ~cols:n !ts
+type fallback =
+  | Unreachable_reference of { unreached : int; states : int }
+  | Absorbing_state of { state : int }
+  | Not_converged
+  | Degenerate_iterate
+  | Residual_too_large of { residual : float; bound : float }
 
-(* The bias equations with the gain folded into column [ref_state]
-   (same system as [dense_system], CSR) — used to cross-check any
-   candidate solution cheaply via one sparse mat-vec. *)
-let sparse_system ~ref_state m p =
-  let n = Model.num_states m in
-  let ts = ref [] in
-  let b = Vec.create n in
-  for i = 0 to n - 1 do
-    let c = Model.choice m i (Policy.choice_index p i) in
-    b.(i) <- -.c.Model.cost;
-    let exit = exit_rate_of c in
-    if i <> ref_state && exit > 0.0 then ts := (i, i, -.exit) :: !ts;
-    List.iter
-      (fun (j, r) ->
-        if j <> ref_state && r > 0.0 then ts := (i, j, r) :: !ts)
-      c.Model.rates;
-    ts := (i, ref_state, -1.0) :: !ts
-  done;
-  (Sparse.of_triplets ~rows:n ~cols:n !ts, b)
+let fallback_to_string = function
+  | Unreachable_reference { unreached; states } ->
+      Printf.sprintf "%d of %d states cannot reach the reference state"
+        unreached states
+  | Absorbing_state { state } ->
+      Printf.sprintf "absorbing state %d (zero exit rate)" state
+  | Not_converged -> "stationary sweep did not converge"
+  | Degenerate_iterate -> "stationary iterate degenerated"
+  | Residual_too_large { residual; bound } ->
+      Printf.sprintf "verification residual %g above %g" residual bound
 
-(* The bias system with the gain already known: row [ref_state] is
-   pinned to [v_ref = 0] and column [ref_state] is dropped from every
-   other row, which restores weak diagonal dominance — exactly the
-   M-matrix structure Gauss-Seidel sweeps are reliable on.
-
-   Rows are normalized by their exit rate (diagonal -1).  This leaves
-   the solution and the Gauss-Seidel iterates untouched (each update
-   solves its row for x_i) but turns the sweep's absolute residual
-   test into a per-row relative one — essential because the big-M
-   self-switch rates (1e6) put the raw residual's floating-point
-   floor far above any absolute tolerance worth having. *)
-let pinned_bias_system ~ref_state ~gain m p =
-  let n = Model.num_states m in
-  let ts = ref [ (ref_state, ref_state, 1.0) ] in
-  let b = Vec.create n in
-  for i = 0 to n - 1 do
-    if i <> ref_state then begin
-      let c = Model.choice m i (Policy.choice_index p i) in
-      let exit = exit_rate_of c in
-      if exit > 0.0 then begin
-        b.(i) <- (gain -. c.Model.cost) /. exit;
-        ts := (i, i, -1.0) :: !ts;
-        List.iter
-          (fun (j, r) ->
-            if j <> ref_state && r > 0.0 then ts := (i, j, r /. exit) :: !ts)
-          c.Model.rates
-      end
-      (* exit = 0: absorbing state — leave the zero diagonal; the
-         sweep rejects it and the caller falls back to dense. *)
-    end
-  done;
-  (Sparse.of_triplets ~rows:n ~cols:n !ts, b)
-
-exception Sparse_failed of string
+exception Fallback of fallback
 
 (* Every state must reach [ref_state] under the policy's chain, else
-   the pinned bias system is singular (the policy is multichain) and
-   the sweeps below stagnate at a nonzero residual forever.  The dense
-   path owns the restart-perturbation machinery for that case, so
-   detect it structurally — one reverse DFS, O(n + nnz), negligible
-   next to a single sweep — and fall back before wasting any. *)
+   the pinned bias system is singular and the sweeps below stagnate at
+   a nonzero residual forever.  That happens under a multichain policy,
+   but also under a unichain one whose reference state is transient
+   (no in-edges).  The dense path handles both, so detect the case
+   structurally — one reverse DFS, O(n + nnz), negligible next to a
+   single sweep — and fall back before wasting any. *)
 let check_reaches_ref ~ref_state m p =
   let n = Model.num_states m in
   let rev = Array.make n [] in
@@ -260,98 +212,20 @@ let check_reaches_ref ~ref_state m p =
   done;
   if !count < n then
     raise
-      (Sparse_failed
-         (Printf.sprintf
-            "multichain policy: %d of %d states cannot reach the reference \
-             state"
-            (n - !count) n))
-
-let evaluate_sparse_exn ~ref_state ~tol ~max_iter ~guard m p =
-  let n = Model.num_states m in
-  check_reaches_ref ~ref_state m p;
-  (* Stage 1: stationary distribution of the policy chain -> gain. *)
-  let g = sparse_generator m p in
-  let pi = Iterative.gauss_seidel_steady ~tol ~max_iter ~guard g in
-  if not pi.Iterative.converged then
-    raise (Sparse_failed "stationary sweep did not converge");
-  let gain = ref 0.0 in
-  for i = 0 to n - 1 do
-    let c = Model.choice m i (Policy.choice_index p i) in
-    gain := !gain +. (pi.Iterative.solution.(i) *. c.Model.cost)
-  done;
-  let gain = !gain in
-  (* Stage 2: bias from the pinned system (gain known, v_ref = 0).
-     The sweep's own convergence flag is advisory: its absolute
-     residual test can stall at the floating-point noise floor even
-     when the iterate is fully converged, so acceptance is decided by
-     the exact-system verification below, not here. *)
-  let a, b = pinned_bias_system ~ref_state ~gain m p in
-  (* The sweep's stopping test is an absolute residual, so scale the
-     tolerance with the system's magnitude — the bias itself can reach
-     1e4 on deep queues, putting the attainable floor near eps*|bias|;
-     an unscaled 1e-12 would spin to max_iter on converged iterates. *)
-  let tol = tol *. Float.max 1.0 (Vec.norm_inf b) in
-  let sol = Iterative.gauss_seidel ~tol ~max_iter ~guard a b in
-  (* Verify against the exact relative-value equations: one sparse
-     mat-vec.  This also catches multichain policies, where the
-     stationary sweep converges to the wrong chain's gain. *)
-  let ag, bg = sparse_system ~ref_state m p in
-  let x =
-    Vec.init n (fun j ->
-        if j = ref_state then gain else sol.Iterative.solution.(j))
-  in
-  let residual = Vec.norm_inf (Vec.sub (Sparse.mul_vec ag x) bg) in
-  let accept = 1e-7 *. Float.max 1.0 (Vec.norm_inf bg) in
-  if residual > accept then
-    raise
-      (Sparse_failed
-         (Printf.sprintf "verification residual %g above %g" residual accept));
-  Dpm_trace.Provenance.note_residual residual;
-  evaluation_of ~ref_state x
-
-let evaluate_sparse ?(ref_state = 0) ?(tol = 1e-12) ?max_iter
-    ?(guard = fun () -> ()) m p =
-  check_ref_state m ref_state;
-  let max_iter =
-    match max_iter with
-    | Some k -> k
-    | None -> max 10_000 (50 * Model.num_states m)
-  in
-  match evaluate_sparse_exn ~ref_state ~tol ~max_iter ~guard m p with
-  | e ->
-      Dpm_obs.Probe.incr "policy_iteration.sparse_evals";
-      Dpm_obs.Probe.set "policy_iteration.eval_path" 1.0;
-      Dpm_trace.Provenance.note_eval_path "sparse";
-      e
-  | exception (Sparse_failed reason | Invalid_argument reason) ->
-      (* Zero diagonals (absorbing states), non-convergence, or a
-         verification miss: fall back to the exact dense LU path. *)
-      Logs.debug (fun k ->
-          k "sparse policy evaluation fell back to dense LU: %s" reason);
-      Dpm_obs.Probe.incr "policy_iteration.sparse_fallbacks";
-      Dpm_obs.Probe.set "policy_iteration.eval_path" 0.0;
-      Dpm_trace.Provenance.note_sparse_fallback ();
-      Dpm_trace.Provenance.note_eval_path "dense";
-      if Dpm_trace.Recorder.enabled () then
-        Dpm_trace.Recorder.instant "pi.sparse_fallback"
-          ~args:[ ("reason", Dpm_trace.Event.Str reason) ];
-      evaluate_robust ~ref_state m p
-
-(* --- implicit (matrix-free) evaluation ------------------------------ *)
+      (Fallback (Unreachable_reference { unreached = n - !count; states = n }))
 
 module A1 = Bigarray.Array1
 
-(* The implicit path never materializes the policy's generator as a
-   matrix: the rows are flattened once into plain int/float arrays
-   (O(n + nnz) with a counting sort for column access — no triplet
-   lists, no polymorphic-compare sort, no CSR transpose, all of which
-   dominate [evaluate_sparse]'s cost on large models) and both
+(* The policy's rows are flattened once into plain int/float arrays
+   (O(n + nnz), with a counting sort for column access), and both
    Gauss-Seidel stages sweep those arrays over Bigarray iterates, so a
-   sweep allocates nothing.  The numerical scheme is exactly the
-   sparse path's: stationary distribution -> gain, then the pinned
-   exit-rate-normalized bias system, then verification against the
-   exact relative-value equations at the same acceptance threshold. *)
-let evaluate_implicit_exn ~ref_state ~tol ~max_iter ~guard m p =
+   sweep allocates nothing.  Stage 1 finds the stationary distribution
+   (gain = pi . c); stage 2 the bias from the system with the gain
+   known and [v_ref] pinned to 0, which restores weak diagonal
+   dominance — the M-matrix structure Gauss-Seidel is reliable on.
+   Acceptance is decided by verification against the exact
+   relative-value equations. *)
+let evaluate_iterative_exn ~ref_state ~tol ~max_iter ~guard m p =
   let n = Model.num_states m in
   check_reaches_ref ~ref_state m p;
   (* Flatten the policy's rows: costs, exit rates, out-edges. *)
@@ -361,8 +235,7 @@ let evaluate_implicit_exn ~ref_state ~tol ~max_iter ~guard m p =
     let c = Model.choice m i (Policy.choice_index p i) in
     cost.(i) <- c.Model.cost;
     exit.(i) <- exit_rate_of c;
-    if exit.(i) <= 0.0 then
-      raise (Sparse_failed "implicit: absorbing state (zero exit rate)");
+    if exit.(i) <= 0.0 then raise (Fallback (Absorbing_state { state = i }));
     row_start.(i + 1) <- row_start.(i) + List.length c.Model.rates
   done;
   let nnz = row_start.(n) in
@@ -402,9 +275,8 @@ let evaluate_implicit_exn ~ref_state ~tol ~max_iter ~guard m p =
   let prev = Bvec.create n in
   let sweeps = ref 0 and change = ref infinity in
   while !change > tol && !sweeps < max_iter do
-    (* One guard tick per sweep — the same granularity as the
-       materialized Gauss-Seidel loops, so wall-clock deadlines and
-       injected stalls cover the matrix-free path too. *)
+    (* One guard tick per sweep, so wall-clock deadlines and injected
+       stalls abort a wedged evaluation mid-solve. *)
     guard ();
     Bvec.blit ~src:pi ~dst:prev;
     for j = 0 to n - 1 do
@@ -417,7 +289,7 @@ let evaluate_implicit_exn ~ref_state ~tol ~max_iter ~guard m p =
     done;
     let s = Bvec.sum pi in
     if s = 0.0 || not (Float.is_finite s) then
-      raise (Sparse_failed "implicit: stationary iterate degenerated");
+      raise (Fallback Degenerate_iterate);
     Bvec.scale_inplace (1.0 /. s) pi;
     acc := 0.0;
     for i = 0 to n - 1 do
@@ -426,18 +298,21 @@ let evaluate_implicit_exn ~ref_state ~tol ~max_iter ~guard m p =
     change := !acc;
     incr sweeps
   done;
-  if !change > tol then
-    raise (Sparse_failed "implicit: stationary sweep did not converge");
+  if !change > tol then raise (Fallback Not_converged);
   let gain = ref 0.0 in
   for i = 0 to n - 1 do
     gain := !gain +. (A1.unsafe_get pi i *. cost.(i))
   done;
   let gain = !gain in
-  (* Stage 2: the pinned bias system (v_ref = 0, gain known), rows
-     normalized by their exit rate — the same per-row-relative
-     residual test as the sparse path, with the same magnitude-scaled
-     tolerance.  Convergence here is advisory; acceptance is decided
-     by the exact-system verification below. *)
+  (* Stage 2: the pinned bias system, rows normalized by their exit
+     rate.  That leaves the iterates untouched (each update solves its
+     row for v_i) but makes the residual test per-row relative —
+     essential because the big-M self-switch rates (1e6) put the raw
+     residual's floating-point floor far above any absolute tolerance
+     worth having.  The tolerance also scales with the right-hand
+     side: the bias can reach 1e4 on deep queues, putting the
+     attainable floor near eps*|bias|.  Convergence here is advisory;
+     acceptance is decided by the exact-system verification below. *)
   let v = Bvec.create n in
   let b_inf = ref 0.0 in
   for i = 0 to n - 1 do
@@ -476,9 +351,10 @@ let evaluate_implicit_exn ~ref_state ~tol ~max_iter ~guard m p =
     residual := !r;
     incr sweeps2
   done;
-  Dpm_obs.Probe.add "policy_iteration.implicit_sweeps" (!sweeps + !sweeps2);
-  (* Verify against the exact relative-value equations — the same
-     acceptance threshold as the sparse path's one-mat-vec check. *)
+  Dpm_obs.Probe.add "policy_iteration.eval_sweeps" (!sweeps + !sweeps2);
+  (* Verify against the exact relative-value equations.  This also
+     catches multichain policies the reachability pass let through,
+     where the stationary sweep converges to one chain's gain. *)
   let b_norm = ref 0.0 in
   for i = 0 to n - 1 do
     b_norm := Float.max !b_norm (Float.abs cost.(i))
@@ -493,19 +369,16 @@ let evaluate_implicit_exn ~ref_state ~tol ~max_iter ~guard m p =
     let diag = if i = ref_state then 0.0 else exit.(i) *. A1.unsafe_get v i in
     verr := Float.max !verr (Float.abs (!acc -. diag -. gain +. cost.(i)))
   done;
-  let accept = 1e-7 *. Float.max 1.0 !b_norm in
-  if !verr > accept then
-    raise
-      (Sparse_failed
-         (Printf.sprintf "implicit verification residual %g above %g" !verr
-            accept));
+  let bound = 1e-7 *. Float.max 1.0 !b_norm in
+  if !verr > bound then
+    raise (Fallback (Residual_too_large { residual = !verr; bound }));
   Dpm_trace.Provenance.note_residual !verr;
   let bias =
     Vec.init n (fun j -> if j = ref_state then 0.0 else A1.unsafe_get v j)
   in
   { gain; bias }
 
-let evaluate_implicit ?(ref_state = 0) ?(tol = 1e-12) ?max_iter
+let evaluate_iterative ?(ref_state = 0) ?(tol = 1e-12) ?max_iter
     ?(guard = fun () -> ()) m p =
   check_ref_state m ref_state;
   let max_iter =
@@ -513,44 +386,44 @@ let evaluate_implicit ?(ref_state = 0) ?(tol = 1e-12) ?max_iter
     | Some k -> k
     | None -> max 10_000 (50 * Model.num_states m)
   in
-  match evaluate_implicit_exn ~ref_state ~tol ~max_iter ~guard m p with
-  | e ->
-      Dpm_obs.Probe.incr "policy_iteration.implicit_evals";
-      Dpm_obs.Probe.set "policy_iteration.eval_path" 2.0;
-      Dpm_trace.Provenance.note_eval_path "implicit";
+  match evaluate_iterative_exn ~ref_state ~tol ~max_iter ~guard m p with
+  | e -> Ok e
+  | exception Fallback reason -> Error reason
+
+let evaluate_sparse ?(ref_state = 0) ?tol ?max_iter ?guard m p =
+  match evaluate_iterative ~ref_state ?tol ?max_iter ?guard m p with
+  | Ok e ->
+      Dpm_obs.Probe.incr "policy_iteration.sparse_evals";
+      Dpm_obs.Probe.set "policy_iteration.eval_path" 1.0;
+      Dpm_trace.Provenance.note_eval_path "sparse";
       e
-  | exception (Sparse_failed reason | Invalid_argument reason) ->
-      (* Multichain structure, absorbing states, non-convergence, or a
-         verification miss: fall through the existing ladder — the
-         sparse CSR reference first, dense LU behind it. *)
+  | Error reason ->
       Logs.debug (fun k ->
-          k "implicit policy evaluation fell back to sparse: %s" reason);
-      Dpm_obs.Probe.incr "policy_iteration.implicit_fallbacks";
-      if Dpm_trace.Recorder.enabled () then
-        Dpm_trace.Recorder.instant "pi.implicit_fallback"
-          ~args:[ ("reason", Dpm_trace.Event.Str reason) ];
-      evaluate_sparse ~ref_state ~guard m p
-
-type eval_path = Dense | Sparse | Auto | Implicit
-
-(* Dense LU is O(n^3) but rock solid; the sparse sweeps win once the
-   composed state space outgrows the paper's instances.  The crossover
-   on the queue-capacity ablation sits around a few hundred states.
-   [Auto] deliberately never selects [Implicit]: the CSR sweeps stay
-   the default reference until the implicit path has equivalent
-   burn-in (DESIGN.md decision 13); callers opt in explicitly. *)
-let sparse_auto_threshold = 192
-
-let evaluate_auto ?ref_state ?guard ~path m p =
-  match path with
-  | Implicit -> evaluate_implicit ?ref_state ?guard m p
-  | Sparse -> evaluate_sparse ?ref_state ?guard m p
-  | Auto when Model.num_states m >= sparse_auto_threshold ->
-      evaluate_sparse ?ref_state ?guard m p
-  | Dense | Auto ->
+          k "iterative policy evaluation fell back to dense LU: %s"
+            (fallback_to_string reason));
+      Dpm_obs.Probe.incr "policy_iteration.sparse_fallbacks";
       Dpm_obs.Probe.set "policy_iteration.eval_path" 0.0;
+      Dpm_trace.Provenance.note_sparse_fallback ();
       Dpm_trace.Provenance.note_eval_path "dense";
-      evaluate_robust ?ref_state m p
+      if Dpm_trace.Recorder.enabled () then
+        Dpm_trace.Recorder.instant "pi.sparse_fallback"
+          ~args:
+            [ ("reason", Dpm_trace.Event.Str (fallback_to_string reason)) ];
+      evaluate_robust ~ref_state m p
+
+(* Dense LU is O(n^3) but rock solid; the sweeps win once the composed
+   state space outgrows the paper's instances.  The crossover on the
+   queue-capacity ablation sits around a few hundred states. *)
+let sparse_threshold = 192
+
+let evaluate_routed ?ref_state ~guard m p =
+  if Model.num_states m >= sparse_threshold then
+    evaluate_sparse ?ref_state ~guard m p
+  else begin
+    Dpm_obs.Probe.set "policy_iteration.eval_path" 0.0;
+    Dpm_trace.Provenance.note_eval_path "dense";
+    evaluate_robust ?ref_state m p
+  end
 
 let test_quantity i (c : Model.choice) bias =
   (* c_i^a + sum_j s^a_ij v_j, with the diagonal folded in:
@@ -582,8 +455,7 @@ let improve m (eval : evaluation) ~incumbent =
   in
   (Policy.of_choice_indices m selection, !changed)
 
-let solve ?ref_state ?(max_iter = 1000) ?init ?(eval = Auto)
-    ?(guard = fun () -> ()) m =
+let solve ?ref_state ?(max_iter = 1000) ?init ?(guard = fun () -> ()) m =
   Dpm_obs.Span.with_ "policy_iteration" @@ fun () ->
   let t0 = Dpm_obs.Probe.now () in
   let origin =
@@ -600,7 +472,7 @@ let solve ?ref_state ?(max_iter = 1000) ?init ?(eval = Auto)
            max_iter);
     let evaluation =
       Dpm_obs.Probe.time "policy_iteration.eval_time_seconds" (fun () ->
-          evaluate_auto ?ref_state ~guard ~path:eval m policy)
+          evaluate_routed ?ref_state ~guard m policy)
     in
     let next, changed =
       Dpm_obs.Probe.time "policy_iteration.improve_time_seconds" (fun () ->

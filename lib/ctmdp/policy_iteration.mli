@@ -66,6 +66,50 @@ val evaluate_robust : ?ref_state:int -> Model.t -> Policy.t -> evaluation
     the ladder), [policy_iteration.tikhonov_rungs] (rungs tried),
     gauge [policy_iteration.tikhonov_exact_residual]. *)
 
+type fallback =
+  | Unreachable_reference of { unreached : int; states : int }
+      (** [unreached] of the [states] states cannot reach the
+          reference state, so the pinned bias system is singular.  A
+          multichain policy does this, but so does a unichain one
+          whose reference state is transient. *)
+  | Absorbing_state of { state : int }  (** [state] has no exit rate *)
+  | Not_converged  (** the stationary sweep hit [max_iter] *)
+  | Degenerate_iterate
+      (** the stationary iterate summed to zero or a non-finite value *)
+  | Residual_too_large of { residual : float; bound : float }
+      (** the candidate missed the exact relative-value equations:
+          [residual] (max-norm) above [bound = 1e-7 * max 1 |c|_inf] *)
+(** Why {!evaluate_iterative} declined a policy. *)
+
+val fallback_to_string : fallback -> string
+(** One-line description of a fallback reason, as logged and as the
+    [reason] argument of the [pi.sparse_fallback] trace instant. *)
+
+val evaluate_iterative :
+  ?ref_state:int ->
+  ?tol:float ->
+  ?max_iter:int ->
+  ?guard:(unit -> unit) ->
+  Model.t ->
+  Policy.t ->
+  (evaluation, fallback) Stdlib.result
+(** Iterative evaluation without a fallback.  The policy's rows are
+    flattened once into index/rate arrays, read straight off the
+    [Model.choice] rate lists, and two Gauss-Seidel stages sweep them
+    over allocation-free Bigarray iterates: the stationary
+    distribution first (gain = pi . c), then the bias from the system
+    with [v_ref] pinned to 0, rows normalized by their exit rate.  A
+    reverse reachability pass runs first, since the pinned system is
+    singular when some state cannot reach the reference state.  The
+    candidate is accepted only if it satisfies the exact
+    relative-value equations to [1e-7 * max 1 |c|_inf]; otherwise the
+    reason comes back as [Error].  [tol] (default 1e-12, scaled to the
+    system's magnitude in the bias stage) and [max_iter] (default
+    [max 10_000 (50 n)]) tune the sweeps.  [guard] (default no-op) is
+    ticked once per sweep in both stages and may raise to abort; its
+    exception propagates.  Probe counter
+    [policy_iteration.eval_sweeps] (sweeps across both stages). *)
+
 val evaluate_sparse :
   ?ref_state:int ->
   ?tol:float ->
@@ -74,73 +118,14 @@ val evaluate_sparse :
   Model.t ->
   Policy.t ->
   evaluation
-(** Sparse counterpart of {!evaluate_robust}: assembles the policy's
-    generator as a {!Dpm_linalg.Sparse.t} straight from the
-    [Model.choice] rate lists (no O(n{^2}) dense scan) and solves the
-    relative-value equations with Gauss-Seidel sweeps — the stationary
-    distribution first (gain = pi . c), then the bias from the system
-    with [v_ref] pinned to 0 (rows normalized by their exit rate so
-    the sweep's residual test is per-row relative).  The candidate
-    solution is verified against the exact bias equations with one
-    sparse mat-vec; on a multichain policy (detected up front by a
-    reverse reachability pass — the pinned system would be singular),
-    a zero diagonal, stationary non-convergence, or a verification
-    miss the call falls back to the dense-LU {!evaluate_robust} path,
-    so the result is always within solver tolerance of the dense
-    answer.  [tol] (default 1e-12, internally scaled to the system's
-    magnitude) and [max_iter] (default [max 10_000 (50 n)]) tune the
-    sweeps.  [guard] (default no-op) is ticked once per Gauss-Seidel
-    sweep in both stages and may raise to abort — the [Dpm_robust]
-    deadline/fault hook; its signal propagates out rather than
-    triggering the dense fallback.  Probe counters:
-    [policy_iteration.sparse_evals],
-    [policy_iteration.sparse_fallbacks], gauge
-    [policy_iteration.eval_path] (1 sparse, 0 dense). *)
-
-val evaluate_implicit :
-  ?ref_state:int ->
-  ?tol:float ->
-  ?max_iter:int ->
-  ?guard:(unit -> unit) ->
-  Model.t ->
-  Policy.t ->
-  evaluation
-(** Matrix-free counterpart of {!evaluate_sparse}: the policy's rows
-    are flattened once into flat index/rate arrays (no triplet sort,
-    no CSR transpose — the costs that dominate {!evaluate_sparse} on
-    large models) and the same two Gauss-Seidel stages sweep those
-    arrays over allocation-free Bigarray iterates: stationary
-    distribution first (gain = pi . c, in-edge access built by a
-    counting sort), then the bias from the [v_ref]-pinned system with
-    rows normalized by their exit rate.  The candidate is verified
-    against the exact relative-value equations at the same acceptance
-    threshold as the sparse path; any failure (multichain structure
-    detected by the same reverse reachability pass, a zero exit rate,
-    non-convergence, or a verification miss) falls back to
-    {!evaluate_sparse} — and through it to dense LU — so the result is
-    always within solver tolerance of the reference.  [tol] (default
-    1e-12) and [max_iter] (default [max 10_000 (50 n)]) tune the
-    sweeps.  [guard] (default no-op) is ticked once per sweep in both
-    matrix-free stages — the same granularity as the materialized
-    paths — so wall-clock deadlines and injected faults cover the
-    implicit path too; its signal propagates out instead of falling
-    back.  Probe counters: [policy_iteration.implicit_evals],
-    [policy_iteration.implicit_fallbacks],
-    [policy_iteration.implicit_sweeps] (total sweeps across both
-    stages), gauge [policy_iteration.eval_path] (2 implicit). *)
-
-type eval_path =
-  | Dense  (** always dense LU ({!evaluate_robust}) *)
-  | Sparse  (** always {!evaluate_sparse} (with its dense fallback) *)
-  | Auto
-      (** dense below ~200 states (LU wins on the paper's instances),
-          sparse above (the composed state space of large queue
-          capacities is >95% zeros).  Never selects {!Implicit}: the
-          CSR path stays the cross-checked default (DESIGN.md
-          decision 13). *)
-  | Implicit
-      (** always {!evaluate_implicit} (matrix-free sweeps, with the
-          sparse-then-dense fallback ladder behind it) *)
+(** {!evaluate_iterative} with {!evaluate_robust} (dense LU) behind
+    it: any [Error] is logged at debug level, recorded as a
+    [pi.sparse_fallback] trace instant, and answered by the dense
+    path, so the result is always within solver tolerance of the
+    dense answer.  A [guard] exception propagates rather than
+    triggering the fallback.  Probe counters:
+    [policy_iteration.sparse_evals], [policy_iteration.sparse_fallbacks],
+    gauge [policy_iteration.eval_path] (1 sparse, 0 dense). *)
 
 val improve : Model.t -> evaluation -> incumbent:Policy.t -> Policy.t * int
 (** [improve m eval ~incumbent] returns the greedy policy with
@@ -152,19 +137,18 @@ val solve :
   ?ref_state:int ->
   ?max_iter:int ->
   ?init:Policy.t ->
-  ?eval:eval_path ->
   ?guard:(unit -> unit) ->
   Model.t ->
   result
 (** [solve m] runs policy iteration from [init] (default: each
     state's first choice) until the policy is stable.  [max_iter]
     defaults to 1000; exceeding it raises [Failure] (it indicates a
-    modeling bug — PI must terminate on finite models).  [eval]
-    (default {!Auto}) selects the evaluation backend per the
-    {!eval_path} docs; every backend agrees to solver tolerance, so
-    the returned policy and gain do not depend on the choice.
-    [guard] (default no-op) is invoked at the top of every iteration
-    {e and} threaded into the sparse/implicit evaluation sweeps, so a
+    modeling bug — PI must terminate on finite models).  Each policy
+    is evaluated by {!evaluate_robust} (dense LU) on models below 192
+    states and by {!evaluate_sparse} on larger ones; the route is
+    recorded in the provenance [eval_path] (["dense"] or
+    ["sparse"]).  [guard] (default no-op) is invoked at the top of
+    every iteration {e and} threaded into the evaluation sweeps, so a
     deadline fires mid-evaluation rather than only between policies —
     the [Dpm_robust] deadline hook. *)
 

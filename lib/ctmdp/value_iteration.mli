@@ -30,7 +30,6 @@ val solve :
   ?max_iter:int ->
   ?init_values:Vec.t ->
   ?guard:(unit -> unit) ->
-  ?eval:Policy_iteration.eval_path ->
   Model.t ->
   result
 (** [solve m] iterates until the span of the value difference
@@ -45,13 +44,6 @@ val solve :
     the model's dimension ([Invalid_argument] otherwise; counted on
     the [value_iteration.warm_starts] probe).  [guard] (default
     no-op) is invoked before each sweep and may raise to abort — the
-    [Dpm_robust] deadline hook.  [eval] (default
-    [Policy_iteration.Auto]) selects the sweep kernel:
-    [Policy_iteration.Implicit] flattens the model once into flat
-    rate arrays and sweeps over allocation-free Bigarray buffers
-    (provenance eval path ["uniformized-implicit"], sweep count on
-    the [value_iteration.implicit_sweeps] probe); every other value
-    keeps the boxed reference sweep ([Dense]/[Sparse] make no sense
-    here — VI never materializes a matrix — so they alias the
-    default).  Both kernels perform the same arithmetic in the same
-    order and return bit-identical results (pinned by a test). *)
+    [Dpm_robust] deadline hook.  The model's choices are flattened
+    once into flat cost/rate arrays and every sweep runs over two
+    Bigarray buffers, so a sweep allocates nothing. *)

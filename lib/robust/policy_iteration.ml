@@ -7,7 +7,7 @@ let validate_model m =
       Dpm_obs.Probe.incr "robust.models_rejected";
       Error (Error.Invalid_model errs)
 
-let solve_r ?ref_state ?max_iter ?init ?eval ?deadline_s ?faults
+let solve_r ?ref_state ?max_iter ?init ?deadline_s ?faults
     ?(validate = true) m =
   let guard =
     Guard.compose [ Fault.guard_opt faults; Guard.of_deadline deadline_s ]
@@ -15,8 +15,7 @@ let solve_r ?ref_state ?max_iter ?init ?eval ?deadline_s ?faults
   let* () = if validate then validate_model m else Ok () in
   let* r =
     Guard.run ~stage:"policy_iteration" (fun () ->
-        Dpm_ctmdp.Policy_iteration.solve ?ref_state ?max_iter ?init ?eval
-          ~guard m)
+        Dpm_ctmdp.Policy_iteration.solve ?ref_state ?max_iter ?init ~guard m)
   in
   let* () =
     Guard.check_finite ~site:"policy_iteration.gain"

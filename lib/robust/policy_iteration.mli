@@ -10,7 +10,6 @@ val solve_r :
   ?ref_state:int ->
   ?max_iter:int ->
   ?init:Dpm_ctmdp.Policy.t ->
-  ?eval:Dpm_ctmdp.Policy_iteration.eval_path ->
   ?deadline_s:float ->
   ?faults:Fault.plan ->
   ?validate:bool ->

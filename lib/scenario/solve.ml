@@ -5,11 +5,8 @@ type solution = {
   provenance : Dpm_trace.Provenance.t;
 }
 
-let solve ?deadline_s ?(eval = Dpm_ctmdp.Policy_iteration.Auto) model =
+let solve ?deadline_s model =
   let t0 = Dpm_obs.Probe.now () in
-  let config =
-    { Dpm_cache.Fingerprint.default_config with Dpm_cache.Fingerprint.eval }
-  in
   (* Same provenance contract as [Dpm_core.Optimize.solve]: whatever
      path answered, the record identifies the model and the origin. *)
   let finish ~origin (result : Dpm_ctmdp.Policy_iteration.result) =
@@ -28,26 +25,26 @@ let solve ?deadline_s ?(eval = Dpm_ctmdp.Policy_iteration.Auto) model =
         };
     }
   in
-  match Dpm_cache.Solve_cache.find ~config model with
+  match Dpm_cache.Solve_cache.find model with
   | Some result -> Ok (finish ~origin:Dpm_trace.Provenance.Cache_hit result)
   | None -> (
-      match Dpm_robust.Policy_iteration.solve_r ?deadline_s ~eval model with
+      match Dpm_robust.Policy_iteration.solve_r ?deadline_s model with
       | Error _ as e -> e
       | Ok result ->
-          Dpm_cache.Solve_cache.store ~config model result;
+          Dpm_cache.Solve_cache.store model result;
           Ok
             (finish
                ~origin:
                  result.Dpm_ctmdp.Policy_iteration.provenance
                    .Dpm_trace.Provenance.origin result))
 
-let sweep ?domains ?deadline_s ?eval ~weights build =
+let sweep ?domains ?deadline_s ~weights build =
   (* Fenced per grid point like [Optimize.sweep_r]: [solve] already
      returns a result, so the pool maps plain values and order
      determinism gives bit-identical output at any domain count. *)
   let out =
     Dpm_par.parallel_map_list ?domains
-      (fun w -> (w, solve ?deadline_s ?eval (build w)))
+      (fun w -> (w, solve ?deadline_s (build w)))
       weights
   in
   out

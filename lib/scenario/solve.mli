@@ -25,7 +25,6 @@ type solution = {
 
 val solve :
   ?deadline_s:float ->
-  ?eval:Dpm_ctmdp.Policy_iteration.eval_path ->
   Dpm_ctmdp.Model.t ->
   (solution, Dpm_robust.Error.t) result
 (** Validate, look up the cache, otherwise run guarded policy
@@ -36,7 +35,6 @@ val solve :
 val sweep :
   ?domains:int ->
   ?deadline_s:float ->
-  ?eval:Dpm_ctmdp.Policy_iteration.eval_path ->
   weights:float list ->
   (float -> Dpm_ctmdp.Model.t) ->
   (float * (solution, Dpm_robust.Error.t) result) list

@@ -89,31 +89,10 @@ let warm_path_matches_pins () =
   if not (Dpm_cache.Solve_cache.hit_ratio () > 0.0) then
     Alcotest.fail "second sweep did not hit the cache"
 
-let implicit_path_matches_pins () =
-  (* The opt-in implicit (matrix-free) evaluation backend must land on
-     the same optima: gains within 1e-6 of the pins (the backend's
-     cross-check budget — it solves by sweeps, not factorization) and
-     the exact pinned policies. *)
-  Dpm_cache.Solve_cache.with_capacity 0 @@ fun () ->
-  let sys = Paper_instance.system () in
-  List.iter
-    (fun (weight, gain, _, _, actions) ->
-      let s =
-        Optimize.solve ~weight ~eval:Dpm_ctmdp.Policy_iteration.Implicit sys
-      in
-      Test_util.check_close ~tol:1e-6
-        (Printf.sprintf "implicit gain at w=%g" weight)
-        gain s.Optimize.gain;
-      if s.Optimize.actions <> actions then
-        Alcotest.failf "implicit policy drifted at w=%g" weight)
-    pins
-
 let suite =
   [
     Alcotest.test_case "paper-instance gains and policies" `Quick
       paper_instance_pins;
     Alcotest.test_case "warm/cached paths reproduce the pins" `Quick
       warm_path_matches_pins;
-    Alcotest.test_case "implicit eval path reproduces the pins" `Quick
-      implicit_path_matches_pins;
   ]

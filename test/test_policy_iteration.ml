@@ -180,64 +180,146 @@ let prop_bias_equations_hold =
       done;
       !ok)
 
+(* --- the iterative evaluation route ----------------------------------
+
+   Models of 192 states and up evaluate by Gauss-Seidel sweeps with
+   dense LU behind them.  The route must really run on such models,
+   agree with dense LU, and answer every declined policy with exactly
+   the dense result. *)
+
+let paper_model q =
+  Dpm_core.Sys_model.to_ctmdp (Test_util.paper_at_capacity q) ~weight:1.0
+
+let iterative_route_accepts () =
+  List.iter
+    (fun q ->
+      let m = paper_model q in
+      let p = Policy.uniform_first m in
+      let e, reg =
+        Test_util.with_registry (fun () -> Policy_iteration.evaluate_sparse m p)
+      in
+      let label = Printf.sprintf "Q=%d (%d states)" q (Model.num_states m) in
+      Alcotest.(check int)
+        (label ^ ": sparse_evals")
+        1
+        (Test_util.counter reg "policy_iteration.sparse_evals");
+      Alcotest.(check int)
+        (label ^ ": sparse_fallbacks")
+        0
+        (Test_util.counter reg "policy_iteration.sparse_fallbacks");
+      let d = Policy_iteration.evaluate_robust m p in
+      Test_util.check_close ~tol:1e-9 (label ^ ": gain") d.Policy_iteration.gain
+        e.Policy_iteration.gain;
+      let scale = Float.max 1.0 (Dpm_linalg.Vec.norm_inf d.Policy_iteration.bias) in
+      let err =
+        Dpm_linalg.Vec.norm_inf
+          (Dpm_linalg.Vec.sub d.Policy_iteration.bias e.Policy_iteration.bias)
+      in
+      if err > 1e-6 *. scale then
+        Alcotest.failf "%s: bias differs by %g (scale %g)" label err scale)
+    [ 50; 100 ]
+
+let typed_fallbacks () =
+  let check label ?max_iter m p expected =
+    (match Policy_iteration.evaluate_iterative ?max_iter m p with
+    | Ok _ -> Alcotest.failf "%s: expected a fallback" label
+    | Error reason ->
+        if reason <> expected then
+          Alcotest.failf "%s: got fallback %s, expected %s" label
+            (Policy_iteration.fallback_to_string reason)
+            (Policy_iteration.fallback_to_string expected));
+    let e, reg =
+      Test_util.with_registry (fun () ->
+          Policy_iteration.evaluate_sparse ?max_iter m p)
+    in
+    Alcotest.(check int)
+      (label ^ ": sparse_fallbacks")
+      1
+      (Test_util.counter reg "policy_iteration.sparse_fallbacks");
+    let d = Policy_iteration.evaluate_robust m p in
+    Alcotest.(check bool)
+      (label ^ ": answer is the dense LU result")
+      true
+      (e.Policy_iteration.gain = d.Policy_iteration.gain
+      && e.Policy_iteration.bias = d.Policy_iteration.bias)
+  in
+  (* The optimum on paper Q=50 never enters state 0: it is transient,
+     so no state can reach it — a unichain policy, not a multichain
+     one. *)
+  let m = paper_model 50 in
+  let optimum = (Policy_iteration.solve m).Policy_iteration.policy in
+  check "unreachable reference" m optimum
+    (Policy_iteration.Unreachable_reference { unreached = 202; states = 203 });
+  check "not converged" ~max_iter:1 m (Policy.uniform_first m)
+    Policy_iteration.Not_converged;
+  (* State 0 is absorbing; both others drain into it. *)
+  let absorbing =
+    Model.create ~num_states:3 (fun i ->
+        let rates = if i = 0 then [] else [ (i - 1, 1.0) ] in
+        [ { Model.action = 0; rates; cost = float_of_int i } ])
+  in
+  check "absorbing state" absorbing
+    (Policy.uniform_first absorbing)
+    (Policy_iteration.Absorbing_state { state = 0 })
+
 (* --- guard threading through the evaluation sweeps ------------------
 
-   The ?guard hook must reach the matrix-free and sparse Gauss-Seidel
-   loops themselves — not just the policy-improvement loop — so a
-   wall-clock deadline (or an injected stall) can abort a wedged
-   evaluation mid-sweep.  A guard that raises Deadline_signal must
-   propagate out as-is, never be swallowed into the fallback ladder. *)
+   The ?guard hook must reach the Gauss-Seidel loops themselves — not
+   just the policy-improvement loop — so a wall-clock deadline (or an
+   injected stall) can abort a wedged evaluation mid-sweep.  A guard
+   that raises Deadline_signal must propagate out as-is, never be
+   swallowed into the dense fallback. *)
 let signal = Dpm_robust.Error.Deadline_signal { budget_s = 0.0; elapsed_s = 0.0 }
 
 let guard_reaches_evaluation_sweeps () =
   let m = speed_control ~holding:1.0 ~fast_cost:3.0 in
   let p = Policy.uniform_first m in
-  List.iter
-    (fun (name, eval) ->
-      let ticks = ref 0 in
-      let guard () =
-        incr ticks;
-        if !ticks > 1 then raise signal
-      in
-      (match eval ~guard m p with
-      | (_ : Policy_iteration.evaluation) ->
-          Alcotest.failf "%s: guard signal swallowed" name
-      | exception Dpm_robust.Error.Deadline_signal _ -> ());
-      Alcotest.(check bool)
-        (name ^ ": guard ticked inside the sweeps")
-        true (!ticks > 1))
-    [
-      ("sparse", fun ~guard m p -> Policy_iteration.evaluate_sparse ~guard m p);
-      ( "implicit",
-        fun ~guard m p -> Policy_iteration.evaluate_implicit ~guard m p );
-    ]
-
-let solve_deadline_covers_implicit_eval () =
-  (* An expired deadline entering through solve must abort the
-     implicit evaluation path with the typed error, not hang or fall
-     back. *)
-  let m = speed_control ~holding:1.0 ~fast_cost:3.0 in
-  let fired = ref false in
+  let ticks = ref 0 in
   let guard () =
-    fired := true;
-    raise signal
+    incr ticks;
+    if !ticks > 1 then raise signal
   in
-  match
-    Dpm_robust.Guard.run (fun () ->
-        Policy_iteration.solve ~eval:Policy_iteration.Implicit ~guard m)
-  with
-  | Ok _ -> Alcotest.fail "deadline ignored by the implicit path"
-  | Error (Dpm_robust.Error.Deadline_exceeded _) ->
-      Alcotest.(check bool) "guard fired" true !fired
+  (match Policy_iteration.evaluate_sparse ~guard m p with
+  | (_ : Policy_iteration.evaluation) -> Alcotest.fail "guard signal swallowed"
+  | exception Dpm_robust.Error.Deadline_signal _ -> ());
+  Alcotest.(check bool) "guard ticked inside the sweeps" true (!ticks > 1)
+
+let solve_deadline_covers_iterative_eval () =
+  (* A deadline entering through solve on a model past the 192-state
+     switch must abort the iterative evaluation mid-sweep with the
+     typed error, not hang or fall back.  The first tick is the top
+     of the first iteration; the second comes from inside that
+     iteration's evaluation sweeps. *)
+  let m = paper_model 50 in
+  let ticks = ref 0 in
+  let guard () =
+    incr ticks;
+    if !ticks > 1 then raise signal
+  in
+  let r, reg =
+    Test_util.with_registry (fun () ->
+        Dpm_robust.Guard.run (fun () -> Policy_iteration.solve ~guard m))
+  in
+  (match r with
+  | Ok _ -> Alcotest.fail "deadline ignored by the iterative route"
+  | Error (Dpm_robust.Error.Deadline_exceeded _) -> ()
   | Error e ->
       Alcotest.failf "unexpected error class: %s"
-        (Dpm_robust.Error.to_string e)
+        (Dpm_robust.Error.to_string e));
+  Alcotest.(check int) "aborted on the second tick" 2 !ticks;
+  Alcotest.(check int) "no evaluation finished" 0
+    (Test_util.counter reg "policy_iteration.sparse_evals");
+  Alcotest.(check int) "no fallback taken" 0
+    (Test_util.counter reg "policy_iteration.sparse_fallbacks")
 
 let suite =
   [
     t "evaluation hand-checked" `Quick evaluation_matches_hand_solution;
     t "guard reaches evaluation sweeps" `Quick guard_reaches_evaluation_sweeps;
-    t "deadline covers implicit eval" `Quick solve_deadline_covers_implicit_eval;
+    t "deadline covers iterative eval" `Quick solve_deadline_covers_iterative_eval;
+    t "iterative route accepts first-choice policies" `Quick
+      iterative_route_accepts;
+    t "typed fallbacks answered by dense LU" `Quick typed_fallbacks;
     t "matches brute force" `Quick solve_matches_brute_force;
     t "dominant action chosen" `Quick cheap_fast_service_always_chosen;
     t "trace monotone, terminates" `Quick trace_is_monotone_and_terminates;

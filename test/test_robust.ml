@@ -8,15 +8,8 @@ open Dpm_robust
 
 let t = Alcotest.test_case
 
-let with_registry f =
-  let reg = Dpm_obs.Metrics.create () in
-  let r = Dpm_obs.Probe.with_active reg f in
-  (r, reg)
-
-let counter reg name =
-  match Dpm_obs.Metrics.find reg name with
-  | Some (Dpm_obs.Metrics.Counter_value n) -> n
-  | _ -> 0
+let with_registry = Test_util.with_registry
+let counter = Test_util.counter
 
 let choice action cost rates = { Dpm_ctmdp.Model.action; rates; cost }
 

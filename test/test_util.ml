@@ -65,3 +65,23 @@ let neutral_provenance =
 
 let strip_provenance (sol : Dpm_core.Optimize.solution) =
   { sol with Dpm_core.Optimize.provenance = neutral_provenance }
+
+(* The paper's system at a larger queue capacity.  It has 4Q + 3
+   states, so Q >= 48 puts policy iteration on its iterative
+   evaluation route (192 states and up). *)
+let paper_at_capacity queue_capacity =
+  Dpm_core.Sys_model.create
+    ~sp:(Dpm_core.Paper_instance.service_provider ())
+    ~queue_capacity ~arrival_rate:Dpm_core.Paper_instance.arrival_rate ()
+
+(* Run [f] under a fresh metrics registry; return its result and the
+   registry. *)
+let with_registry f =
+  let reg = Dpm_obs.Metrics.create () in
+  let r = Dpm_obs.Probe.with_active reg f in
+  (r, reg)
+
+let counter reg name =
+  match Dpm_obs.Metrics.find reg name with
+  | Some (Dpm_obs.Metrics.Counter_value n) -> n
+  | _ -> 0

@@ -55,4 +55,5 @@ let all () =
     (float_of_int c.H.resolve_failures);
   Dpm_obs.Probe.set "bench.adapt.adaptive_vs_static_gain" gain;
   Dpm_obs.Probe.set "bench.adapt.oracle_gap" oracle_gap;
-  Dpm_obs.Probe.set "bench.adapt.ok" (if ok then 1.0 else 0.0)
+  Dpm_obs.Probe.set "bench.adapt.ok" (if ok then 1.0 else 0.0);
+  ok

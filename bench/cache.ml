@@ -93,4 +93,5 @@ let all () =
         (float_of_int s.Dpm_cache.Lru.misses);
       Dpm_obs.Probe.set "bench.cache.hit_ratio" ratio;
       Dpm_obs.Probe.set "bench.cache.repeat_speedup"
-        (t_first /. Float.max 1e-9 t_second))
+        (t_first /. Float.max 1e-9 t_second));
+  identical

@@ -106,4 +106,5 @@ let all () =
   Dpm_obs.Probe.set "bench.fleet.server_energy_j" r.Fleet_sim.server_energy_j;
   Dpm_obs.Probe.set "bench.fleet.off_energy_j" r.Fleet_sim.off_energy_j;
   Dpm_obs.Probe.set "bench.fleet.cluster_energy_j" r.Fleet_sim.cluster_energy_j;
-  Dpm_obs.Probe.set "bench.fleet.ok" (if ok then 1.0 else 0.0)
+  Dpm_obs.Probe.set "bench.fleet.ok" (if ok then 1.0 else 0.0);
+  ok

@@ -3,13 +3,18 @@
    Usage:  dune exec bench/main.exe [--domains N] [sections...]
 
    Sections: fig4 modelcheck tab1 fig5 npolicy2 ablations extensions
-   scaling kron cache adapt serve fleet scenarios perf all
+   scaling kron cache adapt fleet scenarios perf all
    (default: all).  The experiment sections regenerate the paper's
    tables/figures (see EXPERIMENTS.md); the scaling section measures
    Dpm_par speedup at several domain counts; the perf section runs one
    Bechamel micro-benchmark per experiment's computational kernel.
    [--domains N] (or DPM_DOMAINS) runs the experiment grids on an
-   N-domain pool — results are identical, only wall clock changes. *)
+   N-domain pool — results are identical, only wall clock changes.
+
+   The scaling, cache, adapt, fleet and scenarios sections end in a
+   gate.  Every requested section runs; then each failed gate is named
+   on stderr and the process exits 1.  Every run writes its metrics to
+   bench_metrics.json in the current directory. *)
 
 open Bechamel
 open Dpm_core
@@ -77,66 +82,30 @@ let perf () =
       | Some _ | None -> Printf.printf "%-40s %16s\n" name "(no estimate)")
     (List.sort compare rows)
 
-(* --- Metrics stamping --------------------------------------------- *)
-
-(* Every bench run writes a self-describing metrics document: the
-   Report.to_json series wrapped in a meta envelope (git SHA, UTC
-   timestamp, sections run) so tools/bench_diff.exe can compare runs
-   from different commits and bench_history.jsonl stays greppable. *)
-
-let git_sha () =
-  match Unix.open_process_in "git rev-parse HEAD 2>/dev/null" with
-  | exception _ -> "unknown"
-  | ic -> (
-      let line = try String.trim (input_line ic) with End_of_file -> "" in
-      match Unix.close_process_in ic with
-      | Unix.WEXITED 0 when line <> "" -> line
-      | _ | (exception _) -> "unknown")
-
-let utc_now () =
-  let tm = Unix.gmtime (Unix.gettimeofday ()) in
-  Printf.sprintf "%04d-%02d-%02dT%02d:%02d:%02dZ" (tm.Unix.tm_year + 1900)
-    (tm.Unix.tm_mon + 1) tm.Unix.tm_mday tm.Unix.tm_hour tm.Unix.tm_min
-    tm.Unix.tm_sec
-
-let stamped_metrics registry ~sections =
-  let open Dpm_trace.Json in
-  let metrics =
-    match parse (Dpm_obs.Report.to_json registry) with
-    | Ok j -> j
-    | Error _ -> Obj [] (* unreachable: Report.to_json emits valid JSON *)
-  in
-  Obj
-    [
-      ( "meta",
-        Obj
-          [
-            ("git_sha", Str (git_sha ()));
-            ("utc", Str (utc_now ()));
-            ("sections", Arr (List.map (fun s -> Str s) sections));
-          ] );
-      ("metrics", metrics);
-    ]
-
 (* --- Section dispatch --------------------------------------------- *)
+
+(* A section returns its gate verdict; a section without a gate
+   always passes. *)
+let ungated f () =
+  f ();
+  true
 
 let sections =
   [
-    ("fig4", Experiments.fig4);
-    ("modelcheck", Experiments.modelcheck);
-    ("tab1", Experiments.table1);
-    ("fig5", Experiments.fig5);
-    ("npolicy2", Experiments.npolicy2);
-    ("ablations", Ablations.all);
-    ("extensions", Extensions.all);
+    ("fig4", ungated Experiments.fig4);
+    ("modelcheck", ungated Experiments.modelcheck);
+    ("tab1", ungated Experiments.table1);
+    ("fig5", ungated Experiments.fig5);
+    ("npolicy2", ungated Experiments.npolicy2);
+    ("ablations", ungated Ablations.all);
+    ("extensions", ungated Extensions.all);
     ("scaling", Scaling.all);
-    ("kron", Scaling.kron);
+    ("kron", ungated Scaling.kron);
     ("cache", Cache.all);
     ("adapt", Adapt.all);
-    ("serve", Serve.all);
     ("fleet", Fleet.all);
     ("scenarios", Scenarios.all);
-    ("perf", perf);
+    ("perf", ungated perf);
   ]
 
 let () =
@@ -162,39 +131,33 @@ let () =
     match parse_domains [] args with [] -> [ "all" ] | names -> names
   in
   (* Collect solver/simulator counters and per-section wall clock for
-     the whole run; the JSON dump makes perf trajectories comparable
-     across PRs. *)
+     the whole run. *)
   let registry = Dpm_obs.Metrics.create () in
   Dpm_obs.Probe.set_active (Some registry);
-  let timed name f = Dpm_obs.Span.with_ ("bench_" ^ name) f in
-  let run name =
-    match List.assoc_opt name sections with
-    | Some f -> timed name f
-    | None ->
-        Printf.eprintf "unknown section %S; known: %s all\n" name
-          (String.concat " " (List.map fst sections));
-        exit 1
+  let failed = ref [] in
+  let run name f =
+    if not (Dpm_obs.Span.with_ ("bench_" ^ name) f) then
+      failed := name :: !failed
   in
   List.iter
     (fun name ->
-      if name = "all" then List.iter (fun (n, f) -> timed n f) sections
-      else run name)
+      if name = "all" then List.iter (fun (n, f) -> run n f) sections
+      else
+        match List.assoc_opt name sections with
+        | Some f -> run name f
+        | None ->
+            Printf.eprintf "unknown section %S; known: %s all\n" name
+              (String.concat " " (List.map fst sections));
+            exit 1)
     requested;
   Dpm_obs.Probe.set_active None;
-  let line = Dpm_trace.Json.to_string (stamped_metrics registry ~sections:requested) in
   let oc = open_out "bench_metrics.json" in
-  output_string oc line;
-  output_char oc '\n';
+  output_string oc (Dpm_obs.Report.to_json registry);
   close_out oc;
-  (* The history file accumulates one line per run for trend plots;
-     bench_metrics.json is always the latest run. *)
-  let oc =
-    open_out_gen [ Open_append; Open_creat ] 0o644 "bench_history.jsonl"
-  in
-  output_string oc line;
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf
-    "\nmetrics: wrote bench_metrics.json and appended bench_history.jsonl \
-     (%d series)\n"
-    (List.length (Dpm_obs.Metrics.samples registry))
+  Printf.printf "\nmetrics: wrote bench_metrics.json (%d series)\n"
+    (List.length (Dpm_obs.Metrics.samples registry));
+  match List.rev !failed with
+  | [] -> ()
+  | names ->
+      List.iter (Printf.eprintf "bench: gate failed: %s\n") names;
+      exit 1

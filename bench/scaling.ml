@@ -65,7 +65,8 @@ let run_workload ~name ~items f =
     (Printf.sprintf "bench.scaling.%s.identical" name)
     (if !all_identical then 1.0 else 0.0);
   if not !all_identical then
-    Printf.printf "WARNING: %s results differ across domain counts\n" name
+    Printf.printf "FAIL: %s results differ across domain counts\n" name;
+  !all_identical
 
 (* --- implicit operator vs materialized CSR ------------------------ *)
 
@@ -210,12 +211,14 @@ let all () =
        (Dpm_par.recommended_domains ()));
   let sys = Paper_instance.system () in
   let replications = 20 in
-  run_workload ~name:"replicate" ~items:replications (fun d ->
-      Power_sim.replicate ~n:replications ~seed:7L ~domains:d ~sys
-        ~workload:(fun () ->
-          Workload.poisson ~rate:(Sys_model.arrival_rate sys))
-        ~controller:(fun () -> Controller.greedy sys)
-        ~stop:(Power_sim.Requests 5_000) ());
+  let replicate_ok =
+    run_workload ~name:"replicate" ~items:replications (fun d ->
+        Power_sim.replicate ~n:replications ~seed:7L ~domains:d ~sys
+          ~workload:(fun () ->
+            Workload.poisson ~rate:(Sys_model.arrival_rate sys))
+          ~controller:(fun () -> Controller.greedy sys)
+          ~stop:(Power_sim.Requests 5_000) ())
+  in
   let rates =
     List.init 16 (fun k -> 1.0 /. (3.0 +. (float_of_int k *. (5.0 /. 15.0))))
   in
@@ -223,10 +226,13 @@ let all () =
   (* Cache capacity 0 for the timed region: with memoization on, every
      domain count after the first would be served from the cache and
      the scaling curve would measure nothing. *)
-  run_workload ~name:"rate_sweep" ~items:(List.length rates) (fun d ->
-      Dpm_cache.Solve_cache.with_capacity 0 (fun () ->
-          List.map
-            (fun (p : Sensitivity.point) ->
-              (p.Sensitivity.rate, p.Sensitivity.objective, p.Sensitivity.regret))
-            (Sensitivity.rate_sweep ~domains:d sys
-               ~actions:sol.Optimize.actions ~weight:1.0 ~rates)))
+  let rate_sweep_ok =
+    run_workload ~name:"rate_sweep" ~items:(List.length rates) (fun d ->
+        Dpm_cache.Solve_cache.with_capacity 0 (fun () ->
+            List.map
+              (fun (p : Sensitivity.point) ->
+                (p.Sensitivity.rate, p.Sensitivity.objective, p.Sensitivity.regret))
+              (Sensitivity.rate_sweep ~domains:d sys
+                 ~actions:sol.Optimize.actions ~weight:1.0 ~rates)))
+  in
+  replicate_ok && rate_sweep_ok

@@ -222,4 +222,5 @@ let all () =
   Dpm_obs.Probe.set "bench.scenario.polling_gain_k3" po_gain_k3;
   Dpm_obs.Probe.set "bench.scenario.batching_gain_b6" ba_gain_b6;
   Dpm_obs.Probe.set "bench.scenario.dedup_hits" (float_of_int hits);
-  Dpm_obs.Probe.set "bench.scenario.ok" (if ok then 1.0 else 0.0)
+  Dpm_obs.Probe.set "bench.scenario.ok" (if ok then 1.0 else 0.0);
+  ok

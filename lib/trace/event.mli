@@ -3,7 +3,7 @@
     One recorded point (or scope edge) on the trace timeline, in the
     Chrome trace-event vocabulary: [Begin]/[End] pairs delimit a
     duration on one track, [Instant] marks a point in time.  Events
-    carry typed arguments so consumers (Perfetto, [bench_diff], tests)
+    carry typed arguments so consumers (Perfetto, provenance, tests)
     need no string re-parsing. *)
 
 (** A typed event argument value. *)

@@ -3,9 +3,9 @@
     The tracing layer sits below every other library in the repo (so
     that [Dpm_obs.Span] can emit events without a dependency cycle),
     which rules out pulling in a JSON package.  This module is the
-    small, self-contained subset the tracing stack needs: Chrome
-    trace-event export, provenance round-tripping, and
-    [bench_diff]-style comparison of [Report.to_json] documents.
+    small, self-contained subset the repo needs: Chrome trace-event
+    export, provenance and checkpoint round-tripping, and reading the
+    benchmark contract.
 
     Numbers are represented as [float] (as in JSON itself); non-finite
     floats print as [null], mirroring [Dpm_obs.Report.to_json]. *)

@@ -258,7 +258,7 @@ let domain_safety () =
     Alcotest.failf "expected the repeat sweeps to hit, got %d hits" s.Lru.hits
 
 let sweep_hit_ratio () =
-  (* The @cache-verify contract: a 5-point sweep with one duplicated
+  (* The CLI cache smoke's contract: a 5-point sweep with one duplicated
      weight has a nonzero hit ratio. *)
   Solve_cache.with_capacity 16 @@ fun () ->
   let sys = Paper_instance.system () in

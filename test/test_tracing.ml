@@ -197,65 +197,6 @@ let json_rejects_garbage () =
       | Error _ -> ())
     [ ""; "{"; "[1,]"; "{\"a\": }"; "nul"; "\"unterminated"; "{} extra" ]
 
-(* --- regression gate ------------------------------------------------- *)
-
-let regress_self_compare_clean () =
-  let series =
-    [ ("a.seconds", 1.0); ("b.hit_ratio", 0.5); ("c.count", 3.0) ]
-  in
-  let rows = Regress.compare_series series series in
-  Alcotest.(check int) "no regressions" 0
-    (List.length (Regress.regressions rows));
-  List.iter
-    (fun r ->
-      if r.Regress.verdict <> Regress.Unchanged then
-        Alcotest.failf "series %s not unchanged on self-compare"
-          r.Regress.name)
-    rows
-
-let regress_flags_slowdown () =
-  let before = [ ("solve.seconds", 1.0); ("sim.events_per_sec", 1000.0) ] in
-  (* Slower AND less throughput: both count as regressions. *)
-  let worse = [ ("solve.seconds", 1.2); ("sim.events_per_sec", 800.0) ] in
-  Alcotest.(check int) "both directions flag" 2
-    (List.length (Regress.regressions (Regress.compare_series before worse)));
-  (* Faster and more throughput: improvements never flag. *)
-  let better = [ ("solve.seconds", 0.7); ("sim.events_per_sec", 1500.0) ] in
-  Alcotest.(check int) "improvements do not flag" 0
-    (List.length (Regress.regressions (Regress.compare_series before better)));
-  (* Informational series move freely. *)
-  let rows =
-    Regress.compare_series [ ("pi.iterations", 4.0) ] [ ("pi.iterations", 9.0) ]
-  in
-  Alcotest.(check int) "informational never flags" 0
-    (List.length (Regress.regressions rows))
-
-let regress_threshold_overrides () =
-  let before = [ ("solve.seconds", 1.0) ] in
-  let after = [ ("solve.seconds", 1.05) ] in
-  Alcotest.(check int) "within the default 10%" 0
-    (List.length (Regress.regressions (Regress.compare_series before after)));
-  Alcotest.(check int) "tight per-series override flags" 1
-    (List.length
-       (Regress.regressions
-          (Regress.compare_series
-             ~overrides:[ ("solve.seconds", 0.01) ]
-             before after)))
-
-let regress_extract_unwraps_envelope () =
-  let doc =
-    "{\"meta\": {\"git_sha\": \"abc\"}, \"metrics\": {\"lu.count\": 3, \
-     \"span.solve\": {\"events\": 1, \"seconds\": 0.5}, \"resid\": \
-     {\"observations\": 2, \"sum\": 1.5, \"buckets\": []}, \"bad\": null}}"
-  in
-  match Json.parse doc with
-  | Error e -> Alcotest.fail e
-  | Ok j ->
-      Alcotest.(check (list (pair string (float 1e-12))))
-        "flattened series"
-        [ ("lu.count", 3.0); ("resid.sum", 1.5); ("span.solve.seconds", 0.5) ]
-        (List.sort compare (Regress.extract j))
-
 let suite =
   [
     t "golden Chrome JSON" `Quick golden_chrome;
@@ -272,8 +213,4 @@ let suite =
     t "provenance collector tallies" `Quick provenance_collect_tallies;
     t "json parse round-trip" `Quick json_parse_round_trip;
     t "json rejects garbage" `Quick json_rejects_garbage;
-    t "regress self-compare clean" `Quick regress_self_compare_clean;
-    t "regress flags slowdown" `Quick regress_flags_slowdown;
-    t "regress threshold overrides" `Quick regress_threshold_overrides;
-    t "regress extract unwraps envelope" `Quick regress_extract_unwraps_envelope;
   ]

@@ -50,9 +50,10 @@ let perf_tests () =
       (* NPOLICY2 kernel: model construction. *)
       Test.make ~name:"npolicy2/build_ctmdp"
         (Staged.stage (fun () -> Sys_model.to_ctmdp sys ~weight:1.0));
-      (* ABL2 kernel: the Section III tensor assembly. *)
-      Test.make ~name:"abl2/tensor_generator"
-        (Staged.stage (fun () -> Sys_model.tensor_generator sys ~action:0));
+      (* ABL2 kernel: the Section III Kronecker build, materialized. *)
+      Test.make ~name:"abl2/kron_to_dense"
+        (Staged.stage (fun () ->
+             Dpm_linalg.Operator.to_dense (Sys_model.operator sys ~action:0)));
     ]
 
 let perf () =

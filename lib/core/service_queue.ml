@@ -1,4 +1,3 @@
-open Dpm_linalg
 open Dpm_ctmc
 
 type state = Stable of int | Transfer of int
@@ -66,16 +65,6 @@ let rate_list ~capacity ~arrival_rate ~service_rate ~switch_out_rate =
 let generator ~capacity ~arrival_rate ~service_rate ~switch_out_rate =
   Generator.of_rates ~dim:(dim ~capacity)
     (rate_list ~capacity ~arrival_rate ~service_rate ~switch_out_rate)
-
-let blocks ~capacity ~arrival_rate ~service_rate ~switch_out_rate =
-  let g = generator ~capacity ~arrival_rate ~service_rate ~switch_out_rate in
-  let q = capacity in
-  let full = Generator.to_matrix g in
-  let ss = Matrix.init (q + 1) (q + 1) (fun i j -> Matrix.get full i j) in
-  let st = Matrix.init (q + 1) q (fun i j -> Matrix.get full i (q + 1 + j)) in
-  let ts = Matrix.init q (q + 1) (fun i j -> Matrix.get full (q + 1 + i) j) in
-  let tt = Matrix.init q q (fun i j -> Matrix.get full (q + 1 + i) (q + 1 + j)) in
-  (ss, st, ts, tt)
 
 let to_dot ~capacity ~arrival_rate ~service_rate ~switch_out_rate =
   let g = generator ~capacity ~arrival_rate ~service_rate ~switch_out_rate in

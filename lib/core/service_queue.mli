@@ -18,8 +18,6 @@
     The state indexing is [q_i <-> i] for [0 <= i <= Q] and
     [q_{i -> i-1} <-> Q + i] for [1 <= i <= Q] ([dim = 2Q + 1]). *)
 
-open Dpm_linalg
-
 type state =
   | Stable of int  (** [q_i]: [i] requests queued, [0 <= i <= Q] *)
   | Transfer of int
@@ -52,19 +50,6 @@ val generator :
     (the [chi(s, s')] of the commanded switch, or the big-M
     self-switch rate).  Raises [Invalid_argument] on nonpositive
     [capacity] or negative rates. *)
-
-val blocks :
-  capacity:int ->
-  arrival_rate:float ->
-  service_rate:float ->
-  switch_out_rate:float ->
-  Matrix.t * Matrix.t * Matrix.t * Matrix.t
-(** [blocks ...] is [(ss, st, ts, tt)] — the four blocks of
-    [G_SQ(s,a)] split by stable/transfer as in Section III
-    ([G_SQ^SS] is [(Q+1) x (Q+1)], [G_SQ^ST] is [(Q+1) x Q],
-    [G_SQ^TS] is [Q x (Q+1)], [G_SQ^TT] is [Q x Q]).  Diagonals carry
-    the negated row sums of the {e whole} generator, so reassembling
-    the blocks gives exactly {!generator}'s matrix. *)
 
 val to_dot :
   capacity:int ->

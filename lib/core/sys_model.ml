@@ -188,107 +188,15 @@ let generator_of_actions sys ~actions =
 let uniform_generator sys ~action =
   Generator.to_matrix (generator_of_actions sys ~actions:(fun _ -> action))
 
-(* --- The tensor-block formula of Section III ------------------------- *)
-
-let zero_diagonal m =
-  Matrix.mapi (fun i j x -> if i = j then 0.0 else x) m
-
-let tensor_generator sys ~action =
-  let sp = sys.sp in
-  let s_count = num_modes sys in
-  let q = sys.queue_capacity in
-  if num_active sys <> 1 then
-    invalid_arg
-      "Sys_model.tensor_generator: the literal Section III block formula \
-       assumes a single active mode (I_{S_active} (x) G_SQ blocks share one \
-       service rate)";
-  if action < 0 || action >= s_count then
-    invalid_arg "Sys_model.tensor_generator: action out of range";
-  let s0 = sys.active.(0) in
-  (* Permuted mode order: active modes first (the formula's block
-     layout), inactive after. *)
-  let pm =
-    Array.of_list
-      (Service_provider.active_modes sp @ Service_provider.inactive_modes sp)
-  in
-  (* Off-diagonal SP generator under the uniform action, permuted. *)
-  let g_sp_off =
-    Matrix.init s_count s_count (fun pi pj ->
-        let s = pm.(pi) and s' = pm.(pj) in
-        if s' = action && s <> s' then Service_provider.switch_rate sp s s' else 0.0)
-  in
-  (* SQ blocks conditioned on the active mode; diagonals recomputed at
-     the end, so strip them here. *)
-  let ss, st, _ts, tt =
-    Service_queue.blocks ~capacity:q ~arrival_rate:sys.arrival_rate
-      ~service_rate:(Service_provider.service_rate sp s0)
-      ~switch_out_rate:(switch_out_rate sys s0 action)
-  in
-  let ss_off = zero_diagonal ss and tt_off = zero_diagonal tt in
-  let stable_count = s_count * (q + 1) in
-  let transfer_count = q (* one active mode *) in
-  let dim = stable_count + transfer_count in
-  let big = Matrix.create dim dim in
-  let blit ~row0 ~col0 m =
-    for i = 0 to Matrix.rows m - 1 do
-      for j = 0 to Matrix.cols m - 1 do
-        let x = Matrix.get m i j in
-        if x <> 0.0 then Matrix.update big (row0 + i) (col0 + j) (fun y -> y +. x)
-      done
-    done
-  in
-  (* Top-left: G_SP(a) (+) G_SQ^SS — Kronecker sum on zero-diagonal
-     blocks. *)
-  blit ~row0:0 ~col0:0 (Tensor.product g_sp_off (Matrix.identity (q + 1)));
-  blit ~row0:0 ~col0:0 (Tensor.product (Matrix.identity s_count) ss_off);
-  (* Top-right: M = [ I_{S_active} (x) G_SQ^ST ; O_1 ] — the active
-     mode occupies the first permuted block row. *)
-  blit ~row0:0 ~col0:stable_count (Tensor.product (Matrix.identity 1) st);
-  (* Bottom-left: G_SP^A(a) (x) N with N = [I_Q  O_2].  The SP row
-     must use the extended switch rate chi-hat (self-switch = big M)
-     because a transfer state resolving to its own mode is a genuine
-     SYS transition. *)
-  let d_a =
-    Matrix.init 1 s_count (fun _ pj ->
-        if pm.(pj) = action then switch_out_rate sys s0 action else 0.0)
-  in
-  let n_mat = Matrix.init q (q + 1) (fun i j -> if i = j then 1.0 else 0.0) in
-  blit ~row0:stable_count ~col0:0 (Tensor.product d_a n_mat);
-  (* Bottom-right: I_{S_active} (x) G_SQ^TT. *)
-  blit ~row0:stable_count ~col0:stable_count
-    (Tensor.product (Matrix.identity 1) tt_off);
-  (* Diagonals: S_ii = -sum_{j<>i} S_ij. *)
-  for i = 0 to dim - 1 do
-    let out = ref 0.0 in
-    for j = 0 to dim - 1 do
-      if j <> i then out := !out +. Matrix.get big i j
-    done;
-    Matrix.set big i i (-. !out)
-  done;
-  (* Permute from the tensor layout back to this module's canonical
-     state order. *)
-  let canonical_of_tensor t =
-    if t < stable_count then index sys (Stable (pm.(t / (q + 1)), t mod (q + 1)))
-    else index sys (Transfer (s0, t - stable_count + 1))
-  in
-  let out = Matrix.create dim dim in
-  for ti = 0 to dim - 1 do
-    for tj = 0 to dim - 1 do
-      Matrix.set out (canonical_of_tensor ti) (canonical_of_tensor tj)
-        (Matrix.get big ti tj)
-    done
-  done;
-  out
-
-(* --- the same tensor formula, lazily --------------------------------- *)
+(* --- the tensor-block formula of Section III, lazily ------------------ *)
 
 (* The canonical state order is already tensor-ordered: stable states
    are [mode-major x queue-minor] (an S x (Q+1) grid) and transfer
    states [active-position-major x level-minor] (a |S_active| x Q
-   grid), so no permutation is needed — unlike [tensor_generator],
-   whose literal Section III layout puts active modes first.  And
-   because each Kronecker factor carries its own rates, the lazy form
-   generalizes to any number of active modes. *)
+   grid), so no permutation is needed, although the literal Section
+   III layout puts active modes first.  And because each Kronecker
+   factor carries its own rates, the lazy form handles any number of
+   active modes. *)
 let operator sys ~action =
   let sp = sys.sp in
   let s_count = num_modes sys in
@@ -351,9 +259,12 @@ let operator sys ~action =
         [| [| Some ss; Some st |]; [| Some ts; Some tt |] |]
     end
   in
-  (* Diagonal: negated exit rates, summed in the same order as
-     [transitions] builds each row (arrival, service, switch) so the
-     expanded operator matches [uniform_generator] bitwise. *)
+  (* Diagonal: negated exit rates, summed in the order [transitions]
+     lists each row (arrival, service, switch).  [uniform_generator]
+     sums a row in column order instead, so an active mode's stable
+     row with all three exits (queue neither empty nor full, switch-away
+     command) can differ from it by one ulp; every other entry of the
+     expansion matches bitwise. *)
   let n = num_states sys in
   let d = Array.make n 0.0 in
   for kx = 0 to n - 1 do

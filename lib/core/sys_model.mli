@@ -124,18 +124,9 @@ val generator_of_actions : t -> actions:(state -> int) -> Dpm_ctmc.Generator.t
 (** [generator_of_actions sys ~actions] is the closed-loop chain
     under an arbitrary (not validity-checked) state-to-action map. *)
 
-val tensor_generator : t -> action:int -> Matrix.t
-(** The generator under the uniform command [action], assembled by
-    the {e tensor-block formula} of Section III
-    ([G_SP + G_SQ blocks via Kronecker products]), then permuted to
-    this module's state order.  Only supported for SPs with exactly
-    one active mode (the formula's [I_{S_active} (x) G_SQ] blocks
-    assume a common service rate); raises [Invalid_argument]
-    otherwise.  Tested to coincide with the direct builder. *)
-
 val uniform_generator : t -> action:int -> Matrix.t
-(** The same matrix built directly from {!transitions} — the
-    reference for {!tensor_generator}. *)
+(** The generator under the uniform command [action], built directly
+    from {!transitions} — the reference for {!operator}. *)
 
 val operator : t -> action:int -> Operator.t
 (** [operator sys ~action] is the SYS generator under the uniform
@@ -146,9 +137,11 @@ val operator : t -> action:int -> Operator.t
     grid, plus the exit-rate diagonal — O(|S|{^2} + Q) stored floats
     against the O(|S| Q) nonzeros a materialized build stores, and no
     permutation (the canonical state order is already tensor-ordered).
-    Unlike {!tensor_generator} this form supports any number of
-    active modes.  Expanding it with {!Dpm_linalg.Operator.to_dense}
-    reproduces {!uniform_generator} exactly (pinned by tests). *)
+    Any number of active modes is supported.  Expanding it with {!Dpm_linalg.Operator.to_dense}
+    reproduces {!uniform_generator}: bitwise, except for one ulp on
+    the diagonal of an active mode's stable rows under a switch-away
+    command, where the exit rates are summed in another order (pinned
+    by tests at 1e-12). *)
 
 val sweep_order : t -> int array
 (** [sweep_order sys] is the queue-level-major row permutation for

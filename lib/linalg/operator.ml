@@ -11,39 +11,28 @@ type t =
   | Diag of float array
   | Kron_prod of t * t
   | Kron_sum of t * t
-  | Scaled of float * t
-  | Shifted of t * float
   | Sum of t * t
   | Blocks of {
       row_off : int array; (* cumulative, length #block-rows + 1 *)
       col_off : int array;
       cells : t option array array;
     }
-  | Rows of { r : int; c : int; iter : int -> (int -> float -> unit) -> unit }
 
 let rec rows = function
   | Dense m -> Matrix.rows m
   | Csr s -> Sparse.rows s
   | Diag d -> Array.length d
-  | Kron_prod (a, b) -> rows a * rows b
-  | Kron_sum (a, b) -> rows a * rows b
-  | Scaled (_, a) -> rows a
-  | Shifted (a, _) -> rows a
+  | Kron_prod (a, b) | Kron_sum (a, b) -> rows a * rows b
   | Sum (a, _) -> rows a
   | Blocks { row_off; _ } -> row_off.(Array.length row_off - 1)
-  | Rows { r; _ } -> r
 
 let rec cols = function
   | Dense m -> Matrix.cols m
   | Csr s -> Sparse.cols s
   | Diag d -> Array.length d
-  | Kron_prod (a, b) -> cols a * cols b
-  | Kron_sum (a, b) -> cols a * cols b
-  | Scaled (_, a) -> cols a
-  | Shifted (a, _) -> cols a
+  | Kron_prod (a, b) | Kron_sum (a, b) -> cols a * cols b
   | Sum (a, _) -> cols a
   | Blocks { col_off; _ } -> col_off.(Array.length col_off - 1)
-  | Rows { c; _ } -> c
 
 (* --- constructors --------------------------------------------------- *)
 
@@ -51,10 +40,6 @@ let dense m = Dense m
 let csr s = Csr s
 let diag d = Diag d
 let identity n = Diag (Array.make n 1.0)
-
-let of_rows ~rows ~cols iter =
-  if rows < 0 || cols < 0 then invalid_arg "Operator.of_rows: negative shape";
-  Rows { r = rows; c = cols; iter }
 
 let kron_prod a b = Kron_prod (a, b)
 
@@ -66,12 +51,6 @@ let kron_sum a b =
   require_square "kron_sum" a;
   require_square "kron_sum" b;
   Kron_sum (a, b)
-
-let scaled c a = Scaled (c, a)
-
-let shifted a c =
-  require_square "shifted" a;
-  Shifted (a, c)
 
 let sum a b =
   if rows a <> rows b || cols a <> cols b then
@@ -135,10 +114,6 @@ let rec iter_row op i f =
       iter_row a ia (fun ja xa -> f ((ja * nb) + ib) xa);
       let base = ia * nb in
       iter_row b ib (fun jb xb -> f (base + jb) xb)
-  | Scaled (c, a) -> iter_row a i (fun j x -> f j (c *. x))
-  | Shifted (a, c) ->
-      iter_row a i f;
-      if c <> 0.0 then f i c
   | Sum (a, b) ->
       iter_row a i f;
       iter_row b i f
@@ -156,17 +131,8 @@ let rec iter_row op i f =
               let c0 = col_off.(bj) in
               iter_row op' li (fun j x -> f (c0 + j) x))
         cells.(!bi)
-  | Rows { iter; _ } -> iter i f
-
-let get op i j =
-  if i < 0 || i >= rows op || j < 0 || j >= cols op then
-    invalid_arg "Operator.get: index out of shape";
-  let acc = ref 0.0 in
-  iter_row op i (fun j' x -> if j' = j then acc := !acc +. x);
-  !acc
 
 let diagonal op =
-  require_square "diagonal" op;
   let n = rows op in
   let d = Array.make n 0.0 in
   for i = 0 to n - 1 do
@@ -180,8 +146,6 @@ let rec transpose = function
   | Diag d -> Diag d
   | Kron_prod (a, b) -> Kron_prod (transpose a, transpose b)
   | Kron_sum (a, b) -> Kron_sum (transpose a, transpose b)
-  | Scaled (c, a) -> Scaled (c, transpose a)
-  | Shifted (a, c) -> Shifted (transpose a, c)
   | Sum (a, b) -> Sum (transpose a, transpose b)
   | Blocks { row_off; col_off; cells } ->
       let nr = Array.length cells
@@ -191,8 +155,6 @@ let rec transpose = function
             Array.init nr (fun bi -> Option.map transpose cells.(bi).(bj)))
       in
       Blocks { row_off = col_off; col_off = row_off; cells = cells' }
-  | Rows _ ->
-      invalid_arg "Operator.transpose: of_rows leaves carry no column structure"
 
 (* --- materialization and cost accounting ---------------------------- *)
 
@@ -203,12 +165,12 @@ let to_dense op =
   done;
   m
 
-let to_sparse op =
-  let ts = ref [] in
-  for i = rows op - 1 downto 0 do
-    iter_row op i (fun j x -> ts := (i, j, x) :: !ts)
-  done;
-  Sparse.of_triplets ~rows:(rows op) ~cols:(cols op) !ts
+(* Sum of [f] over the present cells of a block grid. *)
+let sum_cells f cells =
+  Array.fold_left
+    (Array.fold_left (fun acc cell ->
+         match cell with None -> acc | Some op -> acc + f op))
+    0 cells
 
 let rec stored_floats = function
   | Dense m -> Matrix.rows m * Matrix.cols m
@@ -216,16 +178,7 @@ let rec stored_floats = function
   | Diag d -> Array.length d
   | Kron_prod (a, b) | Kron_sum (a, b) | Sum (a, b) ->
       stored_floats a + stored_floats b
-  | Scaled (_, a) | Shifted (a, _) -> stored_floats a
-  | Blocks { cells; _ } ->
-      Array.fold_left
-        (fun acc row ->
-          Array.fold_left
-            (fun acc cell ->
-              match cell with None -> acc | Some op -> acc + stored_floats op)
-            acc row)
-        0 cells
-  | Rows _ -> 0
+  | Blocks { cells; _ } -> sum_cells stored_floats cells
 
 let count_dense_nnz m =
   let n = ref 0 in
@@ -243,146 +196,39 @@ let rec materialized_nnz = function
   | Kron_prod (a, b) -> materialized_nnz a * materialized_nnz b
   | Kron_sum (a, b) ->
       (materialized_nnz a * rows b) + (rows a * materialized_nnz b)
-  | Scaled (c, a) -> if c = 0.0 then 0 else materialized_nnz a
-  | Shifted (a, c) ->
-      materialized_nnz a + (if c = 0.0 then 0 else rows a)
   | Sum (a, b) -> materialized_nnz a + materialized_nnz b
-  | Blocks { cells; _ } ->
-      Array.fold_left
-        (fun acc row ->
-          Array.fold_left
-            (fun acc cell ->
-              match cell with
-              | None -> acc
-              | Some op -> acc + materialized_nnz op)
-            acc row)
-        0 cells
-  | Rows ({ r; _ } as leaf) ->
-      let n = ref 0 in
-      for i = 0 to r - 1 do
-        leaf.iter i (fun _ _ -> incr n)
-      done;
-      !n
+  | Blocks { cells; _ } -> sum_cells materialized_nnz cells
 
 (* --- kernels --------------------------------------------------------- *)
 
-let count_matvec () = Dpm_obs.Probe.incr "operator.matvecs"
 let count_sweeps n = Dpm_obs.Probe.add "operator.sweeps" n
 
-let matvec op x ~dst =
-  if Bvec.dim x <> cols op then
-    invalid_arg "Operator.matvec: vector dimension mismatch";
-  if Bvec.dim dst <> rows op then
-    invalid_arg "Operator.matvec: destination dimension mismatch";
-  count_matvec ();
-  (* One accumulator closure for the whole product: no per-row
-     allocation. *)
-  let acc = ref 0.0 in
-  let f j a = acc := !acc +. (a *. Array1.unsafe_get x j) in
-  for i = 0 to rows op - 1 do
-    acc := 0.0;
-    iter_row op i f;
-    Array1.unsafe_set dst i !acc
-  done
-
-(* Residual max_i |(op x)_i - b_i| off the live iterate; shares the
-   accumulator-closure pattern with [matvec] (not counted as one). *)
-let residual_against op x b =
-  let acc = ref 0.0 in
-  let f j a = acc := !acc +. (a *. Array1.unsafe_get x j) in
-  let r = ref 0.0 in
-  for i = 0 to rows op - 1 do
-    acc := 0.0;
-    iter_row op i f;
-    r := Float.max !r (Float.abs (!acc -. Array.unsafe_get b i))
-  done;
-  !r
-
-let nonzero_diagonal name op =
-  let d = diagonal op in
-  Array.iteri
-    (fun i x ->
-      if x = 0.0 then
-        invalid_arg
-          (Printf.sprintf "Operator.%s: zero accumulated diagonal at row %d"
-             name i))
-    d;
-  d
-
 (* A sweep order must visit every row exactly once. *)
-let check_order name n = function
+let check_order n = function
   | None -> Array.init n (fun i -> i)
   | Some order ->
       if Array.length order <> n then
         invalid_arg
-          (Printf.sprintf "Operator.%s: sweep order has length %d, expected %d"
-             name (Array.length order) n);
+          (Printf.sprintf
+             "Operator.gauss_seidel_steady: sweep order has length %d, \
+              expected %d"
+             (Array.length order) n);
       let seen = Array.make n false in
       Array.iter
         (fun i ->
           if i < 0 || i >= n || seen.(i) then
             invalid_arg
-              (Printf.sprintf "Operator.%s: sweep order is not a permutation"
-                 name);
+              "Operator.gauss_seidel_steady: sweep order is not a permutation";
           seen.(i) <- true)
         order;
       order
-
-let gauss_seidel ?(tol = 1e-10) ?(max_iter = 100_000) ?(guard = fun () -> ())
-    ?init ?order op b =
-  require_square "gauss_seidel" op;
-  let n = rows op in
-  if Vec.dim b <> n then
-    invalid_arg "Operator.gauss_seidel: rhs dimension mismatch";
-  let order = check_order "gauss_seidel" n order in
-  let d = nonzero_diagonal "gauss_seidel" op in
-  let x =
-    match init with
-    | Some v ->
-        if Vec.dim v <> n then
-          invalid_arg "Operator.gauss_seidel: init dimension mismatch";
-        Bvec.of_vec v
-    | None -> Bvec.create n
-  in
-  (* The row sum accumulates every emitted entry, including the
-     (possibly repeated) diagonal; subtracting [d_i * x_i] afterwards
-     recovers the off-diagonal sum Gauss-Seidel needs. *)
-  let acc = ref 0.0 in
-  let f j a = acc := !acc +. (a *. Array1.unsafe_get x j) in
-  let update i =
-    let xi = Array1.unsafe_get x i in
-    acc := 0.0;
-    iter_row op i f;
-    let off = !acc -. (Array.unsafe_get d i *. xi) in
-    Array1.unsafe_set x i ((Array.unsafe_get b i -. off) /. Array.unsafe_get d i)
-  in
-  let iterations = ref 0 and residual = ref infinity in
-  while !residual > tol && !iterations < max_iter do
-    guard ();
-    (* Symmetric sweep along [order] — see [gauss_seidel_steady]. *)
-    for k = 0 to n - 1 do
-      update (Array.unsafe_get order k)
-    done;
-    for k = n - 1 downto 0 do
-      update (Array.unsafe_get order k)
-    done;
-    residual := residual_against op x b;
-    incr iterations
-  done;
-  count_sweeps !iterations;
-  {
-    Iterative.solution = Bvec.to_vec x;
-    iterations = !iterations;
-    residual = !residual;
-    converged = !residual <= tol;
-  }
 
 let gauss_seidel_steady ?(tol = 1e-12) ?(max_iter = 100_000)
     ?(guard = fun () -> ()) ?init ?order op =
   require_square "gauss_seidel_steady" op;
   let n = rows op in
-  let order = check_order "gauss_seidel_steady" n order in
-  let d = nonzero_diagonal "gauss_seidel_steady" op in
+  let order = check_order n order in
+  let d = diagonal op in
   Array.iteri
     (fun i x ->
       if x >= 0.0 then

@@ -6,22 +6,18 @@
     materialized representation — dense [Matrix.t] or CSR [Sparse.t] —
     pays O(nnz) storage, triplet sorting, and transposition before the
     first sweep runs.  An {!t} instead stores the {e expression}: the
-    small factor blocks plus the combinators ([Kron_prod], [Kron_sum],
-    [Sum], [Scaled], [Shifted], block grids), and exposes exactly the
-    access patterns iterative solvers need — row iteration, mat-vec
-    into a preallocated {!Bvec.t}, and Gauss-Seidel sweeps that walk
+    small factor blocks plus the combinators (Kronecker product and
+    sum, [sum], block grids), and runs Gauss-Seidel sweeps that walk
     the Kronecker factors directly.  Storage is the sum of the factor
-    sizes (typically O(|S|{^2} + Q) against O(|S|·Q) expanded nonzeros),
-    and no per-sweep allocation occurs.
+    sizes (typically O(|S|{^2} + Q) against O(|S|·Q) expanded
+    nonzeros), and no per-sweep allocation occurs.
 
     Row iteration may visit the same column more than once (e.g. the
-    diagonal of a [Kron_sum], or overlapping [Sum] terms); all
-    consumers in this module {e accumulate} contributions, and callers
-    of {!iter_row} must do the same.
+    diagonal of a [kron_sum], or overlapping [sum] terms); every
+    consumer in this module {e accumulates} contributions.
 
-    Probe counters: [operator.matvecs] (calls to {!matvec}),
-    [operator.sweeps] (Gauss-Seidel sweeps executed by {!gauss_seidel}
-    and {!gauss_seidel_steady}). *)
+    Probe counter: [operator.sweeps] (Gauss-Seidel sweeps executed by
+    {!gauss_seidel_steady}). *)
 
 type t
 (** A lazy linear operator over flat float64 state vectors. *)
@@ -43,33 +39,19 @@ val diag : float array -> t
 val identity : int -> t
 (** [identity n] is the [n x n] identity as a diagonal leaf. *)
 
-val of_rows : rows:int -> cols:int -> (int -> (int -> float -> unit) -> unit) -> t
-(** [of_rows ~rows ~cols iter] wraps an arbitrary row-iteration
-    closure: [iter i f] must call [f j x] for the (accumulating)
-    entries of row [i].  Closure leaves are not transposable:
-    {!transpose} raises [Invalid_argument] on them. *)
-
 (** {1 Combinators} *)
 
 val kron_prod : t -> t -> t
 (** [kron_prod a b] is the Kronecker product [a (x) b]
-    (Definition 4.4): entry [((i1,i2),(j1,j2)) = a_{i1 j1} * b_{i2 j2}]
-    with the second factor's index minor, matching
-    {!Tensor.pair_index}. *)
+    (Definition 4.4): with [b] of shape [n2 x m2], entry
+    [(i1*n2 + i2, j1*m2 + j2)] is [a(i1,j1) * b(i2,j2)] — the second
+    factor's index is minor. *)
 
 val kron_sum : t -> t -> t
 (** [kron_sum a b] is the Kronecker sum
     [a (x) I + I (x) b] of two {e square} operators ([Invalid_argument]
     otherwise).  Diagonal entries of both factors are emitted
     separately (consumers accumulate). *)
-
-val scaled : float -> t -> t
-(** [scaled c a] is [c * a]. *)
-
-val shifted : t -> float -> t
-(** [shifted a c] is [a + c I] for square [a] ([Invalid_argument]
-    otherwise); the shift is emitted as an extra diagonal
-    contribution. *)
 
 val sum : t -> t -> t
 (** [sum a b] is [a + b].  Raises [Invalid_argument] on shape
@@ -83,61 +65,12 @@ val blocks : row_dims:int array -> col_dims:int array -> t option array array ->
     the grid is ragged or a cell's shape disagrees with its
     row/column dims. *)
 
-(** {1 Shape and access} *)
+(** {1 Shape} *)
 
 val rows : t -> int
 (** Number of rows. *)
 
-val cols : t -> int
-(** Number of columns. *)
-
-val iter_row : t -> int -> (int -> float -> unit) -> unit
-(** [iter_row op i f] applies [f j x] to the entries of row [i].
-    Columns are {e not} necessarily sorted and {e may repeat};
-    repeated contributions to one coordinate must be summed by the
-    caller. *)
-
-val get : t -> int -> int -> float
-(** [get op i j] is entry [(i,j)], accumulated over repeats — O(row)
-    via {!iter_row}; for tests and debugging, not for kernels. *)
-
-val diagonal : t -> float array
-(** [diagonal op] is the accumulated diagonal of a square operator
-    (one full row sweep, O(nnz)). *)
-
-val transpose : t -> t
-(** [transpose op] is the structural transpose — factors are
-    transposed, combinators preserved, so the result stays lazy.
-    Raises [Invalid_argument] on {!of_rows} leaves, which carry no
-    column structure. *)
-
-(** {1 Kernels} *)
-
-val matvec : t -> Bvec.t -> dst:Bvec.t -> unit
-(** [matvec op x ~dst] stores [op x] in [dst] without allocating;
-    [dst] must not alias [x].  Raises [Invalid_argument] on dimension
-    mismatch.  Counted on [operator.matvecs]. *)
-
-val gauss_seidel :
-  ?tol:float ->
-  ?max_iter:int ->
-  ?guard:(unit -> unit) ->
-  ?init:Vec.t ->
-  ?order:int array ->
-  t ->
-  Vec.t ->
-  Iterative.result
-(** [gauss_seidel op b] solves [op x = b] by symmetric Gauss-Seidel
-    sweeps walking {!iter_row} directly — same stopping rule,
-    residual, and result record as {!Iterative.gauss_seidel} ([tol]
-    default 1e-10 on the sup-norm residual, [max_iter] default 1e5,
-    [guard] invoked before each sweep), but with no materialized
-    matrix and no per-sweep allocation.  One iteration updates every
-    row along [order] (default: index order; must be a permutation of
-    the rows, [Invalid_argument] otherwise), then again in reverse —
-    see {!gauss_seidel_steady} for why the order matters.  The
-    accumulated diagonal must be nonzero ([Invalid_argument]
-    otherwise). *)
+(** {1 Stationary solve} *)
 
 val gauss_seidel_steady :
   ?tol:float ->
@@ -151,10 +84,11 @@ val gauss_seidel_steady :
     stationary row vector of a generator presented implicitly — the
     matrix-free counterpart of {!Iterative.gauss_seidel_steady} (same
     defaults and result record; [tol] bounds the L1 change of the
-    normalized iterate between sweeps).  Column access comes from the
-    {e structural} {!transpose}, so the operator must be transposable,
-    square, and have strictly negative accumulated diagonal
-    ([Invalid_argument] otherwise).
+    normalized iterate between sweeps, [guard] is invoked before each
+    sweep).  Column access comes from the {e structural} transpose
+    (factors transposed, combinators kept), so the solve stays lazy.
+    The operator must be square with strictly negative accumulated
+    diagonal ([Invalid_argument] otherwise).
 
     One iteration is a {e symmetric} sweep: every row along [order]
     (default: index order; must be a permutation, [Invalid_argument]
@@ -174,16 +108,10 @@ val to_dense : t -> Matrix.t
 (** [to_dense op] expands to a dense matrix (accumulating repeats) —
     for tests and small instances only. *)
 
-val to_sparse : t -> Sparse.t
-(** [to_sparse op] expands to CSR through the triplet path —
-    the expansion an implicit solve avoids; used by tests and by the
-    scaling bench to price the materialized alternative. *)
-
 val stored_floats : t -> int
 (** [stored_floats op] counts the float entries actually held by the
-    expression tree (dense blocks count fully, CSR blocks their nnz,
-    closure leaves 0) — the implicit representation's memory
-    footprint. *)
+    expression tree (dense blocks count fully, CSR blocks their nnz)
+    — the implicit representation's memory footprint. *)
 
 val materialized_nnz : t -> int
 (** [materialized_nnz op] is an upper bound on the nonzeros a CSR

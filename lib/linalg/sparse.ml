@@ -73,8 +73,6 @@ let to_dense s =
   done;
   m
 
-let identity n = of_triplets ~rows:n ~cols:n (List.init n (fun i -> (i, i, 1.0)))
-
 let get s i j =
   if i < 0 || i >= s.rows || j < 0 || j >= s.cols then
     invalid_arg "Sparse.get: index out of shape";

@@ -27,9 +27,6 @@ val of_dense : Matrix.t -> t
 val to_dense : t -> Matrix.t
 (** [to_dense s] expands to a dense matrix. *)
 
-val identity : int -> t
-(** [identity n] is the sparse [n x n] identity. *)
-
 val rows : t -> int
 (** Number of rows. *)
 

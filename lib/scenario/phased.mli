@@ -25,9 +25,8 @@
 
     {2 Restrictions}
 
-    The SP must have exactly one active mode (the same restriction as
-    [Sys_model.tensor_generator]): with several active modes an
-    active-to-active switch would have to map phases between
+    The SP must have exactly one active mode: with several active
+    modes an active-to-active switch would have to map phases between
     distributions of different shapes. *)
 
 type state =

@@ -23,7 +23,7 @@ let power_method_birth_death () =
   let q = birth_death 6 1.0 2.0 in
   let lam_max = 3.5 in
   let p =
-    Sparse.add (Sparse.identity 6) (Sparse.scale (1.0 /. lam_max) q)
+    Sparse.add (Sparse.of_dense (Matrix.identity 6)) (Sparse.scale (1.0 /. lam_max) q)
   in
   let r = Iterative.power_method ~tol:1e-13 p in
   Alcotest.(check bool) "converged" true r.Iterative.converged;

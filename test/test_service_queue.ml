@@ -60,32 +60,6 @@ let inactive_mode_has_no_service_family () =
   Test_util.check_close "no q1 -> transfer" 0.0
     (Dpm_ctmc.Generator.get g (idx (Stable 1)) (idx (Transfer 1)))
 
-let blocks_reassemble () =
-  let capacity = 3 in
-  let ss, st, ts, tt =
-    Service_queue.blocks ~capacity ~arrival_rate:0.5 ~service_rate:1.5
-      ~switch_out_rate:2.5
-  in
-  Alcotest.(check int) "ss shape" 4 (Matrix.rows ss);
-  Alcotest.(check int) "st cols" 3 (Matrix.cols st);
-  Alcotest.(check int) "ts rows" 3 (Matrix.rows ts);
-  Alcotest.(check int) "tt shape" 3 (Matrix.rows tt);
-  let full =
-    Dpm_ctmc.Generator.to_matrix
-      (Service_queue.generator ~capacity ~arrival_rate:0.5 ~service_rate:1.5
-         ~switch_out_rate:2.5)
-  in
-  let reassembled =
-    Matrix.init 7 7 (fun i j ->
-        match (i <= 3, j <= 3) with
-        | true, true -> Matrix.get ss i j
-        | true, false -> Matrix.get st i (j - 4)
-        | false, true -> Matrix.get ts (i - 4) j
-        | false, false -> Matrix.get tt (i - 4) (j - 4))
-  in
-  Alcotest.(check bool) "blocks tile the generator" true
-    (Matrix.approx_equal full reassembled)
-
 let queue_is_connected_with_service () =
   let g =
     Service_queue.generator ~capacity:5 ~arrival_rate:0.2 ~service_rate:0.7
@@ -121,7 +95,6 @@ let suite =
     t "waiting requests" `Quick waiting_requests_cost;
     t "four transition families" `Quick four_transition_families;
     t "inactive mode" `Quick inactive_mode_has_no_service_family;
-    t "blocks reassemble" `Quick blocks_reassemble;
     t "connected" `Quick queue_is_connected_with_service;
     t "validation" `Quick validation;
     prop_row_sums_zero;

@@ -57,20 +57,26 @@ let model m =
   encode_model buf m;
   Buffer.contents buf
 
+let magic = "dpmc2"
+
 let key ?(config = default_config) m =
   let buf = Buffer.create 1024 in
-  Buffer.add_string buf "dpmc2";
+  Buffer.add_string buf magic;
   add_int buf config.ref_state;
   add_int buf config.max_iter;
   encode_model buf m;
   Buffer.contents buf
 
-let hash64 s =
-  let prime = 0x100000001b3L in
+(* FNV-1a from byte [pos]; the local accumulator stays unboxed. *)
+let fnv1a s ~pos =
   let h = ref 0xcbf29ce484222325L in
-  String.iter
-    (fun c -> h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) prime)
-    s;
+  for i = pos to String.length s - 1 do
+    h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code s.[i]))) 0x100000001b3L
+  done;
   !h
 
+let hash64 s = fnv1a s ~pos:0
 let model_hash m = hash64 (model m)
+
+(* Past the key's magic and two 8-byte config ints lies [model m]. *)
+let digest_of_key k = fnv1a k ~pos:(String.length magic + 16)

@@ -47,3 +47,8 @@ val hash64 : string -> int64
 
 val model_hash : Dpm_ctmdp.Model.t -> int64
 (** [hash64 (model m)] — a compact digest for logs and tests. *)
+
+val digest_of_key : string -> int64
+(** [digest_of_key (key ~config m)] is [model_hash m], hashed off the
+    key's model part, so a caller holding the key does not encode the
+    model again. *)

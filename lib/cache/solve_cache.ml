@@ -1,9 +1,13 @@
-module Model = Dpm_ctmdp.Model
 module Policy = Dpm_ctmdp.Policy
 module Pi = Dpm_ctmdp.Policy_iteration
 module Probe = Dpm_obs.Probe
+module Provenance = Dpm_trace.Provenance
 
-type entry = { actions : int array; result : Pi.result }
+type entry = {
+  actions : int array;
+  result : Pi.result;
+  stationary : Dpm_linalg.Vec.t option;
+}
 
 let default_capacity =
   match Sys.getenv_opt "DPM_CACHE" with
@@ -41,11 +45,10 @@ let publish c =
     (if lookups = 0 then 0.0
      else float_of_int s.Lru.hits /. float_of_int lookups)
 
-let find ?(config = Fingerprint.default_config) m =
+let find ~key m =
   let c = !cache in
   if Lru.capacity c = 0 then None
   else begin
-    let key = Fingerprint.key ~config m in
     let hit =
       match Lru.find c key with
       | None -> None
@@ -57,11 +60,12 @@ let find ?(config = Fingerprint.default_config) m =
           match Policy.of_actions m e.actions with
           | policy ->
               Some
-                {
-                  e.result with
-                  Pi.policy;
-                  Pi.bias = Dpm_linalg.Vec.copy e.result.Pi.bias;
-                }
+                ( {
+                    e.result with
+                    Pi.policy;
+                    Pi.bias = Dpm_linalg.Vec.copy e.result.Pi.bias;
+                  },
+                  Option.map Dpm_linalg.Vec.copy e.stationary )
           | exception Invalid_argument _ -> None)
     in
     Probe.incr (if hit = None then "cache.misses" else "cache.hits");
@@ -72,33 +76,37 @@ let find ?(config = Fingerprint.default_config) m =
           [
             ( "fingerprint",
               Dpm_trace.Event.Str
-                (Printf.sprintf "%016Lx" (Fingerprint.hash64 key)) );
+                (Printf.sprintf "%016Lx"
+                   (match hit with
+                   | Some (r, _) -> r.Pi.provenance.Provenance.fingerprint
+                   | None -> Fingerprint.digest_of_key key)) );
           ];
     publish c;
     hit
   end
 
-let store ?(config = Fingerprint.default_config) m (result : Pi.result) =
+let store ~key ?stationary m (result : Pi.result) =
+  let provenance =
+    {
+      result.Pi.provenance with
+      Provenance.fingerprint = Fingerprint.digest_of_key key;
+    }
+  in
   let c = !cache in
   if Lru.capacity c > 0 then begin
     let entry =
       {
         actions = Policy.actions m result.Pi.policy;
-        result = { result with Pi.bias = Dpm_linalg.Vec.copy result.Pi.bias };
+        result =
+          {
+            result with
+            Pi.bias = Dpm_linalg.Vec.copy result.Pi.bias;
+            provenance = { provenance with Provenance.origin = Cache_hit };
+          };
+        stationary = Option.map Dpm_linalg.Vec.copy stationary;
       }
     in
-    if Lru.add c (Fingerprint.key ~config m) entry then
-      Probe.incr "cache.evictions";
+    if Lru.add c key entry then Probe.incr "cache.evictions";
     publish c
-  end
-
-let solve ?(config = Fingerprint.default_config) ?init ?guard m =
-  match find ~config m with
-  | Some result -> result
-  | None ->
-      let result =
-        Pi.solve ~ref_state:config.Fingerprint.ref_state
-          ~max_iter:config.Fingerprint.max_iter ?init ?guard m
-      in
-      store ~config m result;
-      result
+  end;
+  { result with Pi.provenance }

@@ -13,10 +13,10 @@ type metrics = {
   state_probabilities : Vec.t;
 }
 
-(* Common metric extraction: any closed-loop generator over the SYS
-   state space plus a per-state power rate. *)
-let of_generator sys ~gen ~power_of_index =
-  let p = Steady_state.solve gen in
+(* Common metric extraction: a stationary distribution over the SYS
+   state space plus a per-state power rate.  [p] becomes the result's
+   [state_probabilities] as is. *)
+let of_distribution sys ~power_of_index p =
   let sp = Sys_model.sp sys in
   let lam = Sys_model.arrival_rate sys in
   let states = Sys_model.states sys in
@@ -64,21 +64,33 @@ let of_generator sys ~gen ~power_of_index =
     state_probabilities = p;
   }
 
+let power_of_actions sys actions k =
+  let x = Sys_model.state_of_index sys k in
+  Sys_model.power_cost sys x ~action:(actions x)
+
 let of_actions sys ~actions =
   let g = Sys_model.generator_of_actions sys ~actions in
-  of_generator sys ~gen:g ~power_of_index:(fun k ->
-      let x = Sys_model.state_of_index sys k in
-      Sys_model.power_cost sys x ~action:(actions x))
+  of_distribution sys (Steady_state.solve g)
+    ~power_of_index:(power_of_actions sys actions)
 
 let of_mixed sys ~gen ~power_rates =
   if Dpm_linalg.Vec.dim power_rates <> Sys_model.num_states sys then
     invalid_arg "Analytic.of_mixed: power vector dimension mismatch";
-  of_generator sys ~gen ~power_of_index:(fun k -> power_rates.(k))
+  of_distribution sys (Steady_state.solve gen) ~power_of_index:(fun k ->
+      power_rates.(k))
 
 let of_action_array sys actions =
   if Array.length actions <> Sys_model.num_states sys then
     invalid_arg "Analytic.of_action_array: dimension mismatch";
   of_actions sys ~actions:(fun x -> actions.(Sys_model.index sys x))
+
+let of_stationary sys actions p =
+  let n = Sys_model.num_states sys in
+  if Array.length actions <> n || Dpm_linalg.Vec.dim p <> n then
+    invalid_arg "Analytic.of_stationary: dimension mismatch";
+  of_distribution sys p
+    ~power_of_index:
+      (power_of_actions sys (fun x -> actions.(Sys_model.index sys x)))
 
 let energy_per_request m =
   if m.throughput > 0.0 then m.power /. m.throughput else Float.nan

@@ -49,6 +49,12 @@ val of_action_array : Sys_model.t -> int array -> metrics
 (** Same, with the actions tabulated by state index (the format
     produced by the optimizer and {!Policies.actions_array}). *)
 
+val of_stationary : Sys_model.t -> int array -> Vec.t -> metrics
+(** Same, read off [p], the table's closed-loop stationary
+    distribution, in O(n) without solving — bit-identical to
+    {!of_action_array} given the [p] it computes.  [p] becomes
+    [state_probabilities] uncopied. *)
+
 val energy_per_request : metrics -> float
 (** [power / throughput] — joules per serviced request, a derived
     figure of merit used in the examples. *)

@@ -10,31 +10,38 @@ type solution = {
 let solve ?(weight = 0.0) ?init_actions ?guard sys =
   let t0 = Dpm_obs.Probe.now () in
   let model = Sys_model.to_ctmdp sys ~weight in
-  (* Identify the solve in provenance whatever path produced it; the
-     hash is O(model) — noise next to any evaluation. *)
-  let finish ~origin (result : Dpm_ctmdp.Policy_iteration.result) =
+  (* One encoding serves lookup, store and digest.  [finish] reads the
+     clock after the metrics it is passed, so [wall_s] covers them. *)
+  let key = Dpm_cache.Fingerprint.key model in
+  let finish ~actions ~metrics (result : Dpm_ctmdp.Policy_iteration.result) =
     {
-      result.Dpm_ctmdp.Policy_iteration.provenance with
-      Dpm_trace.Provenance.fingerprint = Dpm_cache.Fingerprint.model_hash model;
-      origin;
-      wall_s = Dpm_obs.Probe.now () -. t0;
       weight;
-      arrival_rate = Sys_model.arrival_rate sys;
+      actions;
+      gain = result.Dpm_ctmdp.Policy_iteration.gain;
+      iterations = result.Dpm_ctmdp.Policy_iteration.iterations;
+      metrics;
+      provenance =
+        {
+          result.Dpm_ctmdp.Policy_iteration.provenance with
+          Dpm_trace.Provenance.wall_s = Dpm_obs.Probe.now () -. t0;
+          weight;
+          arrival_rate = Sys_model.arrival_rate sys;
+        };
     }
   in
-  match Dpm_cache.Solve_cache.find model with
-  | Some result ->
+  match Dpm_cache.Solve_cache.find ~key model with
+  | Some (result, stationary) ->
       let actions =
         Dpm_ctmdp.Policy.actions model result.Dpm_ctmdp.Policy_iteration.policy
       in
-      {
-        weight;
-        actions;
-        gain = result.Dpm_ctmdp.Policy_iteration.gain;
-        iterations = result.Dpm_ctmdp.Policy_iteration.iterations;
-        metrics = Analytic.of_action_array sys actions;
-        provenance = finish ~origin:Dpm_trace.Provenance.Cache_hit result;
-      }
+      (* An entry stored by [Dpm_scenario.Solve] carries no
+         distribution; solve for it then. *)
+      let metrics =
+        match stationary with
+        | Some p -> Analytic.of_stationary sys actions p
+        | None -> Analytic.of_action_array sys actions
+      in
+      finish ~actions ~metrics result
   | None ->
       let solve_from init =
         let result = Dpm_ctmdp.Policy_iteration.solve ?init ?guard model in
@@ -66,19 +73,9 @@ let solve ?(weight = 0.0) ?init_actions ?guard sys =
       in
       (* Store only the post-retry result: the cache must never serve a
          multichain tie that the retry just worked around. *)
-      Dpm_cache.Solve_cache.store model result;
-      {
-        weight;
-        actions;
-        gain = result.Dpm_ctmdp.Policy_iteration.gain;
-        iterations = result.Dpm_ctmdp.Policy_iteration.iterations;
-        metrics;
-        provenance =
-          finish
-            ~origin:result.Dpm_ctmdp.Policy_iteration.provenance
-                      .Dpm_trace.Provenance.origin
-            result;
-      }
+      finish ~actions ~metrics
+        (Dpm_cache.Solve_cache.store ~key
+           ~stationary:metrics.Analytic.state_probabilities model result)
 
 let action_of sys solution x = solution.actions.(Sys_model.index sys x)
 

@@ -36,9 +36,12 @@ val solve :
     the [Dpm_robust] deadline hook.
 
     Results are memoized in {!Dpm_cache.Solve_cache} (keyed on the
-    built CTMDP's structural fingerprint); a repeat solve of the same
-    system and weight returns the cached policy, gain, and iteration
-    count, with the analytic metrics recomputed.  Only post-retry
+    built CTMDP's structural fingerprint, encoded once per call); a
+    repeat solve of the same system and weight returns the cached
+    policy, gain, iteration count and digest, with the metrics read
+    off the cached stationary distribution (bit-identical to cold;
+    an entry stored by [Dpm_scenario.Solve] has none, so a hit on it
+    solves for one).  Only post-retry
     results are stored, so the multichain tie-breaking below is never
     bypassed.  [init_actions] (e.g. a neighboring grid point's
     [actions]) warm-starts policy iteration; an action table that is

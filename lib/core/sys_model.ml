@@ -259,12 +259,10 @@ let operator sys ~action =
         [| [| Some ss; Some st |]; [| Some ts; Some tt |] |]
     end
   in
-  (* Diagonal: negated exit rates, summed in the order [transitions]
-     lists each row (arrival, service, switch).  [uniform_generator]
-     sums a row in column order instead, so an active mode's stable
-     row with all three exits (queue neither empty nor full, switch-away
-     command) can differ from it by one ulp; every other entry of the
-     expansion matches bitwise. *)
+  (* Diagonal: negated exit rates, summed as [uniform_generator] sums
+     a row, in column order: a stable row's two stable targets
+     (arrival, switch) come before its transfer target (service), so
+     the expansion matches the direct build bitwise. *)
   let n = num_states sys in
   let d = Array.make n 0.0 in
   for kx = 0 to n - 1 do
@@ -272,9 +270,9 @@ let operator sys ~action =
     | Stable (s, i) ->
         let e = ref 0.0 in
         if i < q then e := !e +. lam;
+        if action <> s then e := !e +. Service_provider.switch_rate sp s action;
         if Service_provider.is_active sp s && i >= 1 then
           e := !e +. Service_provider.service_rate sp s;
-        if action <> s then e := !e +. Service_provider.switch_rate sp s action;
         d.(kx) <- -. !e
     | Transfer (s, i) ->
         let e = ref 0.0 in

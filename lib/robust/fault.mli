@@ -30,11 +30,14 @@ type kind =
           that only a wall-clock deadline can catch *)
 
 val all_kinds : kind list
+(** Every kind, in declaration order. *)
 
 val kind_to_string : kind -> string
 (** Stable slug, e.g. ["nan-rate"] — the [DPM_FAULTS] vocabulary. *)
 
 val kind_of_string : string -> kind option
+(** Inverse of {!kind_to_string}, ignoring case and surrounding
+    blanks; [None] on an unknown slug. *)
 
 type plan = { seed : int64; kinds : kind list }
 
@@ -44,6 +47,7 @@ val plan : ?seed:int64 -> kind list -> plan
     others strike. *)
 
 val has : plan -> kind -> bool
+(** Whether the plan injects the given kind. *)
 
 val of_env : unit -> plan option
 (** Parse [DPM_FAULTS] (comma-separated slugs, e.g.

@@ -7,36 +7,31 @@ type solution = {
 
 let solve ?deadline_s model =
   let t0 = Dpm_obs.Probe.now () in
-  (* Same provenance contract as [Dpm_core.Optimize.solve]: whatever
-     path answered, the record identifies the model and the origin. *)
-  let finish ~origin (result : Dpm_ctmdp.Policy_iteration.result) =
+  (* Same provenance contract and single encoding as
+     [Dpm_core.Optimize.solve]. *)
+  let key = Dpm_cache.Fingerprint.key model in
+  let finish (result : Dpm_ctmdp.Policy_iteration.result) =
+    (* Bound first so [wall_s] covers it. *)
+    let actions =
+      Dpm_ctmdp.Policy.actions model result.Dpm_ctmdp.Policy_iteration.policy
+    in
     {
-      actions =
-        Dpm_ctmdp.Policy.actions model result.Dpm_ctmdp.Policy_iteration.policy;
+      actions;
       gain = result.Dpm_ctmdp.Policy_iteration.gain;
       iterations = result.Dpm_ctmdp.Policy_iteration.iterations;
       provenance =
         {
           result.Dpm_ctmdp.Policy_iteration.provenance with
-          Dpm_trace.Provenance.fingerprint =
-            Dpm_cache.Fingerprint.model_hash model;
-          origin;
-          wall_s = Dpm_obs.Probe.now () -. t0;
+          Dpm_trace.Provenance.wall_s = Dpm_obs.Probe.now () -. t0;
         };
     }
   in
-  match Dpm_cache.Solve_cache.find model with
-  | Some result -> Ok (finish ~origin:Dpm_trace.Provenance.Cache_hit result)
+  match Dpm_cache.Solve_cache.find ~key model with
+  | Some (result, _) -> Ok (finish result)
   | None -> (
       match Dpm_robust.Policy_iteration.solve_r ?deadline_s model with
       | Error _ as e -> e
-      | Ok result ->
-          Dpm_cache.Solve_cache.store model result;
-          Ok
-            (finish
-               ~origin:
-                 result.Dpm_ctmdp.Policy_iteration.provenance
-                   .Dpm_trace.Provenance.origin result))
+      | Ok result -> Ok (finish (Dpm_cache.Solve_cache.store ~key model result)))
 
 let sweep ?domains ?deadline_s ~weights build =
   (* Fenced per grid point like [Optimize.sweep_r]: [solve] already

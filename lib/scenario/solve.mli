@@ -18,7 +18,8 @@
 type solution = {
   actions : int array;  (** optimal action label per state *)
   gain : float;  (** optimal average cost rate *)
-  iterations : int;  (** policy-iteration count (0 on a cache hit) *)
+  iterations : int;
+      (** policy-iteration count (on a cache hit, the original solve's) *)
   provenance : Dpm_trace.Provenance.t;
       (** solve provenance with the fingerprint and origin filled *)
 }

@@ -135,11 +135,19 @@ let lru_counters () =
   Test_util.check_raises_invalid "negative capacity" (fun () ->
       Lru.create ~capacity:(-1))
 
+(* The memoized front door on [find]/[store]: look up, else solve and
+   store under the same key. *)
+let cached_solve m =
+  let key = Fingerprint.key m in
+  match Solve_cache.find ~key m with
+  | Some (result, _) -> result
+  | None -> Solve_cache.store ~key m (Pi.solve m)
+
 let solve_cache_roundtrip () =
   Solve_cache.with_capacity 8 @@ fun () ->
   let m = base_model () in
-  let first = Solve_cache.solve m in
-  let second = Solve_cache.solve m in
+  let first = cached_solve m in
+  let second = cached_solve m in
   Alcotest.(check bool)
     "same policy" true
     (Policy.equal first.Pi.policy second.Pi.policy);
@@ -152,17 +160,137 @@ let solve_cache_roundtrip () =
   (* A permuted-but-equal model must hit, and the returned policy must
      be valid for (rebuilt against) the permuted instance. *)
   let p = permuted_model () in
-  (match Solve_cache.find p with
+  (match Solve_cache.find ~key:(Fingerprint.key p) p with
   | None -> Alcotest.fail "permuted model missed the cache"
-  | Some r ->
+  | Some (r, _) ->
       Alcotest.(check bool)
         "rebuilt policy selects the same actions" true
         (Policy.actions p r.Pi.policy = Policy.actions m first.Pi.policy));
   (* Mutating the returned bias must not corrupt the cached entry. *)
-  let r1 = Solve_cache.solve m in
+  let r1 = cached_solve m in
   r1.Pi.bias.(0) <- 1e9;
-  let r2 = Solve_cache.solve m in
+  let r2 = cached_solve m in
   if r2.Pi.bias.(0) = 1e9 then Alcotest.fail "cached bias was aliased"
+
+let fnv_vectors () =
+  (* The published FNV-1a 64 test vectors. *)
+  List.iter
+    (fun (input, expected) ->
+      Alcotest.(check int64) (Printf.sprintf "hash64 %S" input) expected
+        (Fingerprint.hash64 input))
+    [
+      ("", 0xcbf29ce484222325L);
+      ("a", 0xaf63dc4c8601ec8cL);
+      ("foobar", 0x85944171f73967e8L);
+    ];
+  let m = base_model () in
+  List.iter
+    (fun config ->
+      Alcotest.(check int64) "digest of a key is the model hash"
+        (Fingerprint.model_hash m)
+        (Fingerprint.digest_of_key (Fingerprint.key ~config m)))
+    [
+      Fingerprint.default_config;
+      { Fingerprint.ref_state = 2; max_iter = 7 };
+    ]
+
+(* Every float of a metrics record as its IEEE-754 bits, so equality
+   below is bitwise. *)
+let metric_bits (m : Analytic.metrics) =
+  let b = Int64.bits_of_float in
+  ( List.map b
+      Analytic.
+        [
+          m.power;
+          m.avg_waiting_requests;
+          m.throughput;
+          m.loss_rate;
+          m.loss_probability;
+          m.avg_waiting_time;
+          m.avg_waiting_time_paper;
+        ],
+    Array.map b m.Analytic.mode_residency,
+    Array.map b m.Analytic.state_probabilities )
+
+let origin (s : Optimize.solution) =
+  s.Optimize.provenance.Dpm_trace.Provenance.origin
+
+let golden_weights = [ 0.1; 1.0; 5.0; 20.0; 100.0 ]
+
+let hit_metrics_equal_cold () =
+  Solve_cache.with_capacity 16 @@ fun () ->
+  List.iter
+    (fun (label, sys, weights) ->
+      List.iter
+        (fun weight ->
+          let cold = Optimize.solve ~weight sys in
+          let hit = Optimize.solve ~weight sys in
+          if origin cold = Dpm_trace.Provenance.Cache_hit then
+            Alcotest.failf "%s w=%g: first solve was a hit" label weight;
+          if origin hit <> Dpm_trace.Provenance.Cache_hit then
+            Alcotest.failf "%s w=%g: repeat solve missed" label weight;
+          if metric_bits hit.Optimize.metrics <> metric_bits cold.Optimize.metrics
+          then Alcotest.failf "%s w=%g: hit metrics differ from cold" label weight)
+        weights)
+    [
+      ("paper", Paper_instance.system (), golden_weights);
+      (* Policy iteration does not converge at Q=40, w=0.1 (it exhausts
+         its 1000-iteration budget), so that point has no hit to check. *)
+      ("Q=40", Test_util.paper_at_capacity 40, List.tl golden_weights);
+    ]
+
+let hit_distribution_is_private () =
+  Solve_cache.with_capacity 4 @@ fun () ->
+  let sys = Paper_instance.system () in
+  let cold = Optimize.solve ~weight:1.0 sys in
+  let expected = metric_bits cold.Optimize.metrics in
+  (* Neither the cold caller's vector nor a hit's is the stored one. *)
+  cold.Optimize.metrics.Analytic.state_probabilities.(0) <- 1e9;
+  let first = Optimize.solve ~weight:1.0 sys in
+  first.Optimize.metrics.Analytic.state_probabilities.(1) <- 1e9;
+  let second = Optimize.solve ~weight:1.0 sys in
+  if metric_bits second.Optimize.metrics <> expected then
+    Alcotest.fail "a returned state_probabilities aliased the cache entry"
+
+let scenario_entry_serves_optimize () =
+  let sys = Paper_instance.system () in
+  let cold =
+    Solve_cache.with_capacity 0 (fun () -> Optimize.solve ~weight:1.0 sys)
+  in
+  Solve_cache.with_capacity 8 @@ fun () ->
+  let b =
+    Dpm_scenario.Batching.create ~sys ~max_batch:1
+      ~service_rate:(fun _ -> Paper_instance.service_rate)
+      ()
+  in
+  (match
+     Dpm_scenario.Solve.solve (Dpm_scenario.Batching.to_ctmdp b ~weight:1.0)
+   with
+  | Ok _ -> ()
+  | Error e -> Alcotest.fail (Dpm_robust.Error.to_string e));
+  let hit = Optimize.solve ~weight:1.0 sys in
+  if origin hit <> Dpm_trace.Provenance.Cache_hit then
+    Alcotest.fail "the paper system missed the batch-1 entry";
+  if metric_bits hit.Optimize.metrics <> metric_bits cold.Optimize.metrics then
+    Alcotest.fail "metrics off a distribution-free entry differ from cold"
+
+let hit_provenance_digest () =
+  Solve_cache.with_capacity 8 @@ fun () ->
+  let sys = Paper_instance.system () in
+  List.iter
+    (fun weight ->
+      let expected =
+        Fingerprint.model_hash (Sys_model.to_ctmdp sys ~weight)
+      in
+      let cold = Optimize.solve ~weight sys in
+      let hit = Optimize.solve ~weight sys in
+      List.iter
+        (fun (path, (s : Optimize.solution)) ->
+          Alcotest.(check int64)
+            (Printf.sprintf "%s fingerprint at w=%g" path weight)
+            expected s.Optimize.provenance.Dpm_trace.Provenance.fingerprint)
+        [ ("cold", cold); ("hit", hit) ])
+    [ 0.1; 20.0 ]
 
 let waves_schedule () =
   Alcotest.(check int) "n=0 empty" 0 (List.length (Warm.waves 0));
@@ -309,6 +437,16 @@ let suite =
     Alcotest.test_case "lru: hit/miss counters" `Quick lru_counters;
     Alcotest.test_case "solve cache: roundtrip, permutation hit, isolation"
       `Quick solve_cache_roundtrip;
+    Alcotest.test_case "fingerprint: FNV-1a vectors and key digest" `Quick
+      fnv_vectors;
+    Alcotest.test_case "optimize: hit metrics bit-equal to cold" `Quick
+      hit_metrics_equal_cold;
+    Alcotest.test_case "optimize: hit distribution is a private copy" `Quick
+      hit_distribution_is_private;
+    Alcotest.test_case "optimize: scenario-stored entry serves the paper system"
+      `Quick scenario_entry_serves_optimize;
+    Alcotest.test_case "optimize: hit provenance carries the model digest"
+      `Quick hit_provenance_digest;
     Alcotest.test_case "warm: wave schedule is a valid function of n" `Quick
       waves_schedule;
     Alcotest.test_case "warm: action-table validation" `Quick

@@ -223,7 +223,7 @@ let sys_operator_matches_uniform_generator () =
     Sys_model.create ~sp:(two_active_sp ()) ~queue_capacity:2 ~arrival_rate:1.0 ()
   in
   for action = 0 to Service_provider.num_modes (Sys_model.sp sys) - 1 do
-    check_dense_equal
+    check_dense_equal ~tol:0.0
       (Printf.sprintf "SYS operator, two active modes, Q=2, action %d" action)
       (Sys_model.uniform_generator sys ~action)
       (Operator.to_dense (Sys_model.operator sys ~action))

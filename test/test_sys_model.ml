@@ -155,7 +155,7 @@ let tensor_matches_direct () =
           let s = sys ~q () in
           let direct = Sys_model.uniform_generator s ~action in
           let tensor = Operator.to_dense (Sys_model.operator s ~action) in
-          if not (Matrix.approx_equal ~tol:1e-12 direct tensor) then
+          if not (Matrix.approx_equal ~tol:0.0 direct tensor) then
             Alcotest.failf "action %d, Q=%d: tensor formula disagrees@.%a@.vs@.%a"
               action q Matrix.pp direct Matrix.pp tensor)
         [ 1; 2; 5 ])

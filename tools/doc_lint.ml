@@ -5,8 +5,10 @@
    enforces the contract mechanically: every [.mli] passed on the
    command line must open with a module-level [(** ... *)] header, and
    every top-level [val] must carry a doc comment — either ending on
-   the line above the declaration or opening after it, before the next
-   top-level declaration.
+   the line above the declaration (and not being the trailing doc of
+   the declaration before it) or opening after it, before the next
+   top-level declaration.  tools/fixtures holds interfaces it must
+   reject.
 
    Files ending in [.md] get a different check: every relative
    markdown link [text](target) must point at a file that exists next
@@ -43,23 +45,33 @@ let ends_with_comment_close line =
   let n = String.length t in
   n >= 2 && String.sub t (n - 2) 2 = "*)"
 
-let contains_doc_open line =
+let contains sub line =
+  let n = String.length sub in
   let rec go i =
-    if i + 2 >= String.length line then false
-    else if line.[i] = '(' && line.[i + 1] = '*' && line.[i + 2] = '*' then true
-    else go (i + 1)
+    i + n <= String.length line && (String.sub line i n = sub || go (i + 1))
   in
   go 0
 
 (* A val at [i] is documented when the nearest non-blank line above
-   ends a comment, or a doc-comment opens between the declaration and
-   the next top-level declaration. *)
+   ends a comment that is not the trailing doc of the declaration
+   before it (the line right above the comment's opening is blank,
+   opens a comment, or does not exist), or a doc-comment opens
+   between the declaration and the next top-level declaration. *)
 let val_documented lines i =
   let above =
+    let rec opening k =
+      if k <= 0 || contains "(*" lines.(k) then k else opening (k - 1)
+    in
     let rec go k =
       if k < 0 then false
       else if String.trim lines.(k) = "" then go (k - 1)
-      else ends_with_comment_close lines.(k)
+      else
+        ends_with_comment_close lines.(k)
+        &&
+        let o = opening k in
+        o = 0
+        || String.trim lines.(o - 1) = ""
+        || starts_with "(*" (String.trim lines.(o - 1))
     in
     go (i - 1)
   in
@@ -69,7 +81,7 @@ let val_documented lines i =
   let rec go k =
     if k >= n then false
     else if k > i && is_toplevel_decl lines.(k) then false
-    else if contains_doc_open lines.(k) then true
+    else if contains "(**" lines.(k) then true
     else go (k + 1)
   in
   go (i + 1)

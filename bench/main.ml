@@ -34,6 +34,31 @@ let perf_tests () =
       ~controller:(Dpm_sim.Controller.greedy sys)
       ~stop:(Dpm_sim.Power_sim.Requests 2_000) ()
   in
+  (* The relative-value system of one policy evaluation on the paper
+     SP at Q = 100 (403 states): the first-choice policy's generator,
+     with the reference state's column carrying the gain unknown. *)
+  let pi_a, pi_b =
+    let open Dpm_ctmdp in
+    let sys =
+      Sys_model.create ~sp:(Paper_instance.service_provider ())
+        ~queue_capacity:100 ~arrival_rate:Paper_instance.arrival_rate ()
+    in
+    let m = Sys_model.to_ctmdp sys ~weight:1.0 in
+    let p = Policy.uniform_first m in
+    let n = Model.num_states m in
+    let a = Dpm_linalg.Matrix.create n n and b = Dpm_linalg.Vec.create n in
+    for i = 0 to n - 1 do
+      let c = Model.choice m i (Policy.choice_index p i) in
+      b.(i) <- -.c.Model.cost;
+      List.iter
+        (fun (j, r) ->
+          Dpm_linalg.Matrix.update a i j (fun x -> x +. r);
+          Dpm_linalg.Matrix.update a i i (fun x -> x -. r))
+        c.Model.rates;
+      Dpm_linalg.Matrix.set a i 0 (-1.0)
+    done;
+    (a, b)
+  in
   Test.make_grouped ~name:"dpm"
     [
       (* FIG4 kernel: one policy-iteration solve of the paper CTMDP. *)
@@ -45,6 +70,11 @@ let perf_tests () =
       (* TAB1 kernel: one full analytic metric evaluation. *)
       Test.make ~name:"tab1/analytic_metrics"
         (Staged.stage (fun () -> Analytic.of_action_array sys greedy_actions));
+      (* LU kernel: one dense factorization and solve of that system,
+         the body of every dense policy-evaluation step. *)
+      Test.make ~name:"lu/pi_system_403"
+        (Staged.stage (fun () ->
+             Dpm_linalg.Lu.solve_factored (Dpm_linalg.Lu.decompose pi_a) pi_b));
       (* FIG5 kernel: event-driven simulation (2k requests). *)
       Test.make ~name:"fig5/simulate_2k_requests" (Staged.stage sim_once);
       (* NPOLICY2 kernel: model construction. *)

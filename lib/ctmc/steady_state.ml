@@ -8,28 +8,35 @@ let gth ?(guard = fun () -> ()) g =
   else begin
     (* Work on the off-diagonal rates only; GTH never consults the
        diagonal and performs only additions/multiplications/divisions,
-       hence its numerical robustness. *)
-    let a = Generator.to_matrix g in
+       hence its numerical robustness.  [a] is row-major n x n, indexed
+       directly (see [Lu]): unchecked accesses stay below [n * n]. *)
+    let a = Matrix.to_row_major (Generator.to_matrix g) in
     for i = 0 to n - 1 do
-      Matrix.set a i i 0.0
+      a.((i * n) + i) <- 0.0
     done;
     (* Elimination: fold state k into states 0..k-1. *)
     for k = n - 1 downto 1 do
       guard ();
+      let rk = k * n in
       let s = ref 0.0 in
       for j = 0 to k - 1 do
-        s := !s +. Matrix.get a k j
+        s := !s +. Array.unsafe_get a (rk + j)
       done;
-      if !s > 0.0 then begin
+      let s = !s in
+      if s > 0.0 then begin
         for i = 0 to k - 1 do
-          Matrix.set a i k (Matrix.get a i k /. !s)
+          let ik = (i * n) + k in
+          Array.unsafe_set a ik (Array.unsafe_get a ik /. s)
         done;
         for i = 0 to k - 1 do
-          let aik = Matrix.get a i k in
+          let ri = i * n in
+          let aik = Array.unsafe_get a (ri + k) in
           if aik > 0.0 then
             for j = 0 to k - 1 do
               if j <> i then
-                Matrix.set a i j (Matrix.get a i j +. (aik *. Matrix.get a k j))
+                Array.unsafe_set a (ri + j)
+                  (Array.unsafe_get a (ri + j)
+                  +. (aik *. Array.unsafe_get a (rk + j)))
             done
         done
       end
@@ -40,7 +47,7 @@ let gth ?(guard = fun () -> ()) g =
     for k = 1 to n - 1 do
       let acc = ref 0.0 in
       for i = 0 to k - 1 do
-        acc := !acc +. (p.(i) *. Matrix.get a i k)
+        acc := !acc +. (p.(i) *. Array.unsafe_get a ((i * n) + k))
       done;
       p.(k) <- !acc
     done;

@@ -176,6 +176,17 @@ let fallback_to_string = function
   | Residual_too_large { residual; bound } ->
       Printf.sprintf "verification residual %g above %g" residual bound
 
+(* A constant name per constructor, so a disabled probe allocates
+   nothing. *)
+let fallback_counter = function
+  | Unreachable_reference _ ->
+      "policy_iteration.sparse_fallbacks.unreachable_reference"
+  | Absorbing_state _ -> "policy_iteration.sparse_fallbacks.absorbing_state"
+  | Not_converged -> "policy_iteration.sparse_fallbacks.not_converged"
+  | Degenerate_iterate -> "policy_iteration.sparse_fallbacks.degenerate_iterate"
+  | Residual_too_large _ ->
+      "policy_iteration.sparse_fallbacks.residual_too_large"
+
 exception Fallback of fallback
 
 (* Every state must reach [ref_state] under the policy's chain, else
@@ -402,6 +413,7 @@ let evaluate_sparse ?(ref_state = 0) ?tol ?max_iter ?guard m p =
           k "iterative policy evaluation fell back to dense LU: %s"
             (fallback_to_string reason));
       Dpm_obs.Probe.incr "policy_iteration.sparse_fallbacks";
+      Dpm_obs.Probe.incr (fallback_counter reason);
       Dpm_obs.Probe.set "policy_iteration.eval_path" 0.0;
       Dpm_trace.Provenance.note_sparse_fallback ();
       Dpm_trace.Provenance.note_eval_path "dense";

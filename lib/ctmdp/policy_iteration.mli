@@ -124,7 +124,10 @@ val evaluate_sparse :
     path, so the result is always within solver tolerance of the
     dense answer.  A [guard] exception propagates rather than
     triggering the fallback.  Probe counters:
-    [policy_iteration.sparse_evals], [policy_iteration.sparse_fallbacks],
+    [policy_iteration.sparse_evals], [policy_iteration.sparse_fallbacks]
+    and, per reason, [policy_iteration.sparse_fallbacks.<reason>] with
+    [<reason>] one of [unreachable_reference], [absorbing_state],
+    [not_converged], [degenerate_iterate], [residual_too_large];
     gauge [policy_iteration.eval_path] (1 sparse, 0 dense). *)
 
 val improve : Model.t -> evaluation -> incumbent:Policy.t -> Policy.t * int

@@ -53,12 +53,9 @@ let to_arrays m =
   Array.init m.rows (fun i -> Array.init m.cols (fun j -> get m i j))
 
 let copy m = { m with data = Array.copy m.data }
+let to_row_major m = Array.copy m.data
 let row m i = Array.init m.cols (fun j -> get m i j)
 let col m j = Array.init m.rows (fun i -> get m i j)
-
-let set_row m i v =
-  if Vec.dim v <> m.cols then invalid_arg "Matrix.set_row: dimension mismatch";
-  Array.blit v 0 m.data (i * m.cols) m.cols
 
 let transpose m = init m.cols m.rows (fun i j -> get m j i)
 let map f m = { m with data = Array.map f m.data }
@@ -135,7 +132,15 @@ let row_sums m =
       done;
       !acc)
 
-let max_abs m = Array.fold_left (fun acc x -> Float.max acc (Float.abs x)) 0.0 m.data
+(* The value of folding [Float.max] over [|x|] (NaN wins), without
+   boxing an accumulator per entry. *)
+let max_abs m =
+  let acc = ref 0.0 in
+  for k = 0 to Array.length m.data - 1 do
+    let x = Float.abs m.data.(k) in
+    if x > !acc || Float.is_nan x then acc := x
+  done;
+  !acc
 
 let approx_equal ?(tol = 1e-9) a b =
   a.rows = b.rows && a.cols = b.cols

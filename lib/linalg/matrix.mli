@@ -47,14 +47,17 @@ val update : t -> int -> int -> (float -> float) -> unit
 val copy : t -> t
 (** [copy m] is a fresh matrix equal to [m]. *)
 
+val to_row_major : t -> float array
+(** [to_row_major m] is a fresh copy of the entries in row-major
+    order: entry [(i, j)] sits at index [i * cols m + j].  The copy
+    never aliases [m]; dense kernels that are O(n^3) index it directly
+    instead of calling {!get}/{!set} per entry. *)
+
 val row : t -> int -> Vec.t
 (** [row m i] is a fresh copy of row [i]. *)
 
 val col : t -> int -> Vec.t
 (** [col m j] is a fresh copy of column [j]. *)
-
-val set_row : t -> int -> Vec.t -> unit
-(** [set_row m i v] overwrites row [i] with [v]. *)
 
 val transpose : t -> t
 (** [transpose m] is the transposed matrix. *)

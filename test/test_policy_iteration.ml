@@ -220,7 +220,7 @@ let iterative_route_accepts () =
     [ 50; 100 ]
 
 let typed_fallbacks () =
-  let check label ?max_iter m p expected =
+  let check label ?max_iter m p expected counter_suffix =
     (match Policy_iteration.evaluate_iterative ?max_iter m p with
     | Ok _ -> Alcotest.failf "%s: expected a fallback" label
     | Error reason ->
@@ -236,6 +236,11 @@ let typed_fallbacks () =
       (label ^ ": sparse_fallbacks")
       1
       (Test_util.counter reg "policy_iteration.sparse_fallbacks");
+    Alcotest.(check int)
+      (label ^ ": labelled counter")
+      1
+      (Test_util.counter reg
+         ("policy_iteration.sparse_fallbacks." ^ counter_suffix));
     let d = Policy_iteration.evaluate_robust m p in
     Alcotest.(check bool)
       (label ^ ": answer is the dense LU result")
@@ -249,9 +254,10 @@ let typed_fallbacks () =
   let m = paper_model 50 in
   let optimum = (Policy_iteration.solve m).Policy_iteration.policy in
   check "unreachable reference" m optimum
-    (Policy_iteration.Unreachable_reference { unreached = 202; states = 203 });
+    (Policy_iteration.Unreachable_reference { unreached = 202; states = 203 })
+    "unreachable_reference";
   check "not converged" ~max_iter:1 m (Policy.uniform_first m)
-    Policy_iteration.Not_converged;
+    Policy_iteration.Not_converged "not_converged";
   (* State 0 is absorbing; both others drain into it. *)
   let absorbing =
     Model.create ~num_states:3 (fun i ->
@@ -261,6 +267,24 @@ let typed_fallbacks () =
   check "absorbing state" absorbing
     (Policy.uniform_first absorbing)
     (Policy_iteration.Absorbing_state { state = 0 })
+    "absorbing_state"
+
+(* [dpm_cli solve -q 100 -w 3] falls back because 402 of the 403
+   states cannot reach reference state 0; the labelled counter names
+   that reason. *)
+let unreachable_reference_counted () =
+  Dpm_cache.Solve_cache.with_capacity 0 @@ fun () ->
+  let sys = Test_util.paper_at_capacity 100 in
+  let _, reg =
+    Test_util.with_registry (fun () -> Dpm_core.Optimize.solve ~weight:3.0 sys)
+  in
+  let total = Test_util.counter reg "policy_iteration.sparse_fallbacks" in
+  let unreachable =
+    Test_util.counter reg
+      "policy_iteration.sparse_fallbacks.unreachable_reference"
+  in
+  Alcotest.(check bool) "unreachable_reference counted" true (unreachable > 0);
+  Alcotest.(check bool) "within the aggregate" true (unreachable <= total)
 
 (* --- guard threading through the evaluation sweeps ------------------
 
@@ -316,6 +340,8 @@ let suite =
   [
     t "evaluation hand-checked" `Quick evaluation_matches_hand_solution;
     t "guard reaches evaluation sweeps" `Quick guard_reaches_evaluation_sweeps;
+    t "unreachable reference counted by reason" `Quick
+      unreachable_reference_counted;
     t "deadline covers iterative eval" `Quick solve_deadline_covers_iterative_eval;
     t "iterative route accepts first-choice policies" `Quick
       iterative_route_accepts;

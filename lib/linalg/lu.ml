@@ -90,6 +90,33 @@ let solve_factored { n; lu; perm; _ } b =
   done;
   y
 
+(* [A = P^T L U], so [A^T y = b] is [U^T z = b] (forward, U's
+   diagonal), [L^T w = z] (backward, unit diagonal), then [y] is [w]
+   under the inverse permutation.  Both sweeps walk a column of the
+   row-major factors. *)
+let solve_transposed_factored { n; lu; perm; _ } b =
+  if Vec.dim b <> n then
+    invalid_arg "Lu.solve_transposed_factored: dimension mismatch";
+  Dpm_obs.Probe.incr "lu.solves";
+  let z = Vec.copy b in
+  for i = 0 to n - 1 do
+    let zi = ref (Array.unsafe_get z i) in
+    for j = 0 to i - 1 do
+      zi := !zi -. (Array.unsafe_get lu ((j * n) + i) *. Array.unsafe_get z j)
+    done;
+    Array.unsafe_set z i (!zi /. Array.unsafe_get lu ((i * n) + i))
+  done;
+  for i = n - 1 downto 0 do
+    let zi = ref (Array.unsafe_get z i) in
+    for j = i + 1 to n - 1 do
+      zi := !zi -. (Array.unsafe_get lu ((j * n) + i) *. Array.unsafe_get z j)
+    done;
+    Array.unsafe_set z i !zi
+  done;
+  let y = Vec.create n in
+  Array.iteri (fun i p -> y.(p) <- z.(i)) perm;
+  y
+
 let solve ?pivot_tol a b = solve_factored (decompose ?pivot_tol a) b
 
 let solve_many ?pivot_tol a bs =

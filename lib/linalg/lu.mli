@@ -22,6 +22,10 @@ val decompose : ?pivot_tol:float -> Matrix.t -> t
 val solve_factored : t -> Vec.t -> Vec.t
 (** [solve_factored lu b] solves [A x = b] using the factorization. *)
 
+val solve_transposed_factored : t -> Vec.t -> Vec.t
+(** [solve_transposed_factored lu b] solves [A^T x = b] on the
+    factorization of [A], without factoring the transpose. *)
+
 val solve : ?pivot_tol:float -> Matrix.t -> Vec.t -> Vec.t
 (** [solve a b] is [solve_factored (decompose a) b]. *)
 

@@ -43,10 +43,9 @@ let run_phase ~bland ~guard ~columns ~cost ~allowed ~b ~basis ~tol ~max_pivots =
        the best row. *)
     let lu = Lu.decompose ~pivot_tol:1e-18 bmat in
     let x_b = Lu.solve_factored lu b in
-    (* Duals: B^T y = c_B. *)
+    (* Duals: B^T y = c_B, on the same factors. *)
     let y =
-      Lu.solve (Matrix.init m m (fun i k -> columns.(basis.(i)).(k)))
-        (Vec.init m (fun i -> cost.(basis.(i))))
+      Lu.solve_transposed_factored lu (Vec.init m (fun i -> cost.(basis.(i))))
     in
     (* Bland: the smallest-index improving non-basic column enters. *)
     let entering = ref (-1) in
@@ -158,11 +157,10 @@ let minimize_core ?(max_pivots = 100_000) ?(tol = 1e-9) ~guard ~c ~a b =
    with
   | PUnbounded -> failwith "Simplex: phase 1 unbounded (impossible)"
   | POptimal -> ());
-  let basic_values rhs =
-    let bmat = Matrix.init m m (fun i k -> columns.(basis.(k)).(i)) in
-    Lu.solve bmat rhs
+  let factor_basis () =
+    Lu.decompose (Matrix.init m m (fun i k -> columns.(basis.(k)).(i)))
   in
-  let x_b = basic_values b in
+  let x_b = Lu.solve_factored (factor_basis ()) b in
   let artificial_mass = ref 0.0 in
   Array.iteri
     (fun k j -> if j >= n then artificial_mass := !artificial_mass +. Float.abs x_b.(k))
@@ -172,8 +170,7 @@ let minimize_core ?(max_pivots = 100_000) ?(tol = 1e-9) ~guard ~c ~a b =
     (* Drive zero-valued artificials out of the basis. *)
     for k = 0 to m - 1 do
       if basis.(k) >= n then begin
-        let bmat = Matrix.init m m (fun i k' -> columns.(basis.(k')).(i)) in
-        let lu = Lu.decompose bmat in
+        let lu = factor_basis () in
         let found = ref false in
         let in_basis j = Array.exists (fun bj -> bj = j) basis in
         for j = 0 to n - 1 do
@@ -202,17 +199,13 @@ let minimize_core ?(max_pivots = 100_000) ?(tol = 1e-9) ~guard ~c ~a b =
     | POptimal ->
         (* Evaluate the final basis against the exact rhs, undoing the
            anti-degeneracy perturbation. *)
-        let x_b = basic_values b_exact in
+        let lu = factor_basis () in
+        let x_b = Lu.solve_factored lu b_exact in
         let x = Vec.create n in
         Array.iteri (fun k j -> if j < n then x.(j) <- Float.max 0.0 x_b.(k)) basis;
         let dual =
-          match
-            Lu.solve
-              (Matrix.init m m (fun i k -> columns.(basis.(i)).(k)))
-              (Vec.init m (fun i -> phase2_cost.(basis.(i))))
-          with
-          | y -> y
-          | exception Lu.Singular _ -> Vec.create m
+          Lu.solve_transposed_factored lu
+            (Vec.init m (fun i -> phase2_cost.(basis.(i))))
         in
         Optimal { x; objective = Vec.dot c x; dual }
   end

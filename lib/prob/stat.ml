@@ -1,41 +1,38 @@
 module Welford = struct
-  type t = { mutable n : int; mutable mean : float; mutable m2 : float }
+  (* All-float, so the fields are stored flat: [add] writes no fresh
+     box into a long-lived record.  The count is a float, exact below
+     2^53. *)
+  type t = { mutable n : float; mutable mean : float; mutable m2 : float }
 
-  let create () = { n = 0; mean = 0.0; m2 = 0.0 }
+  let create () = { n = 0.0; mean = 0.0; m2 = 0.0 }
 
   let add t x =
-    t.n <- t.n + 1;
+    t.n <- t.n +. 1.0;
     let delta = x -. t.mean in
-    t.mean <- t.mean +. (delta /. float_of_int t.n);
+    t.mean <- t.mean +. (delta /. t.n);
     t.m2 <- t.m2 +. (delta *. (x -. t.mean))
 
-  let count t = t.n
-  let mean t = if t.n = 0 then Float.nan else t.mean
+  let count t = int_of_float t.n
+  let mean t = if t.n = 0.0 then Float.nan else t.mean
 
-  let variance t =
-    if t.n < 2 then Float.nan else t.m2 /. float_of_int (t.n - 1)
+  let variance t = if t.n < 2.0 then Float.nan else t.m2 /. (t.n -. 1.0)
 
   let std_dev t = sqrt (variance t)
 
-  let std_error t =
-    if t.n < 2 then Float.nan else std_dev t /. sqrt (float_of_int t.n)
+  let std_error t = if t.n < 2.0 then Float.nan else std_dev t /. sqrt t.n
 
   let confidence95 t =
     let half = 1.959964 *. std_error t in
     (mean t -. half, mean t +. half)
 
   let merge a b =
-    if a.n = 0 then { n = b.n; mean = b.mean; m2 = b.m2 }
-    else if b.n = 0 then { n = a.n; mean = a.mean; m2 = a.m2 }
+    if a.n = 0.0 then { n = b.n; mean = b.mean; m2 = b.m2 }
+    else if b.n = 0.0 then { n = a.n; mean = a.mean; m2 = a.m2 }
     else begin
-      let n = a.n + b.n in
+      let n = a.n +. b.n in
       let delta = b.mean -. a.mean in
-      let nf = float_of_int n in
-      let mean = a.mean +. (delta *. float_of_int b.n /. nf) in
-      let m2 =
-        a.m2 +. b.m2
-        +. (delta *. delta *. float_of_int a.n *. float_of_int b.n /. nf)
-      in
+      let mean = a.mean +. (delta *. b.n /. n) in
+      let m2 = a.m2 +. b.m2 +. (delta *. delta *. a.n *. b.n /. n) in
       { n; mean; m2 }
     end
 end

@@ -1,18 +1,15 @@
-type handle = { mutable alive : bool }
-
-type 'a entry = { time : float; seq : int; handle : handle; payload : 'a }
+type 'a entry = { time : float; seq : int; payload : 'a }
 
 type 'a t = {
   mutable heap : 'a entry array; (* array-backed binary heap *)
   mutable length : int;
   mutable next_seq : int;
-  mutable live : int; (* entries neither cancelled nor popped *)
 }
 
-let create () = { heap = [||]; length = 0; next_seq = 0; live = 0 }
+let create () = { heap = [||]; length = 0; next_seq = 0 }
 
-let is_empty h = h.live = 0
-let size h = h.live
+let is_empty h = h.length = 0
+let size h = h.length
 
 let earlier a b = a.time < b.time || (a.time = b.time && a.seq < b.seq)
 
@@ -42,8 +39,7 @@ let rec sift_down h i =
 
 let push h ~time payload =
   if Float.is_nan time then invalid_arg "Event_heap.push: NaN time";
-  let handle = { alive = true } in
-  let entry = { time; seq = h.next_seq; handle; payload } in
+  let entry = { time; seq = h.next_seq; payload } in
   h.next_seq <- h.next_seq + 1;
   if h.length >= Array.length h.heap then begin
     let cap = max 16 (2 * Array.length h.heap) in
@@ -53,17 +49,9 @@ let push h ~time payload =
   end;
   h.heap.(h.length) <- entry;
   h.length <- h.length + 1;
-  h.live <- h.live + 1;
-  sift_up h (h.length - 1);
-  handle
+  sift_up h (h.length - 1)
 
-let cancel h handle =
-  if handle.alive then begin
-    handle.alive <- false;
-    h.live <- h.live - 1
-  end
-
-let rec pop h =
+let pop h =
   if h.length = 0 then None
   else begin
     let top = h.heap.(0) in
@@ -72,26 +60,11 @@ let rec pop h =
       h.heap.(0) <- h.heap.(h.length);
       sift_down h 0
     end;
-    if top.handle.alive then begin
-      top.handle.alive <- false;
-      h.live <- h.live - 1;
-      Some (top.time, top.payload)
-    end
-    else pop h (* cancelled: drop silently *)
+    Some (top.time, top.payload)
   end
 
-let rec peek_time h =
+let peek h =
   if h.length = 0 then None
-  else begin
+  else
     let top = h.heap.(0) in
-    if top.handle.alive then Some top.time
-    else begin
-      (* Drop the dead event and look again. *)
-      h.length <- h.length - 1;
-      if h.length > 0 then begin
-        h.heap.(0) <- h.heap.(h.length);
-        sift_down h 0
-      end;
-      peek_time h
-    end
-  end
+    Some (top.time, top.payload)

@@ -1,35 +1,30 @@
 (** Binary min-heap of timestamped events with O(log n) insertion and
-    extraction and O(1) (lazy) cancellation.
+    extraction.
 
     Ties in time are broken by insertion order, which keeps
     simulations deterministic: two events scheduled for the same
-    instant fire in the order they were scheduled. *)
+    instant fire in the order they were scheduled.  Events cannot be
+    cancelled; the simulator keeps only never-cancelled controller
+    timers here. *)
 
 type 'a t
-
-type handle
-(** Names a scheduled event so it can be cancelled. *)
 
 val create : unit -> 'a t
 (** An empty heap. *)
 
 val is_empty : 'a t -> bool
-(** No live (non-cancelled) events remain. *)
+(** No events remain. *)
 
 val size : 'a t -> int
-(** Number of live events. *)
+(** Number of pending events. *)
 
-val push : 'a t -> time:float -> 'a -> handle
+val push : 'a t -> time:float -> 'a -> unit
 (** [push h ~time e] schedules [e]; raises [Invalid_argument] on a
     NaN time. *)
 
-val cancel : 'a t -> handle -> unit
-(** [cancel h k] removes the event named by [k]; cancelling twice or
-    cancelling an already-fired event is a silent no-op. *)
-
 val pop : 'a t -> (float * 'a) option
-(** [pop h] extracts the earliest live event as [(time, payload)];
-    [None] when empty. *)
+(** [pop h] extracts the earliest event as [(time, payload)]; [None]
+    when empty. *)
 
-val peek_time : 'a t -> float option
-(** The earliest live event's time without extracting it. *)
+val peek : 'a t -> (float * 'a) option
+(** The earliest event as [(time, payload)], without extracting it. *)

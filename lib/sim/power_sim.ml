@@ -43,8 +43,6 @@ type snapshot = {
   snap_in_transfer : bool;
 }
 
-type event = Arrival | Service_done | Switch_done of int | Timer_fired
-
 (* Metric handles resolved once per run from the active Dpm_obs
    registry, so per-event accounting is a field mutation — no name
    lookup, no allocation.  [None] (metrics disabled) reduces the whole
@@ -76,36 +74,63 @@ type seg_state = {
   mutable closed : segment list; (* reverse order *)
 }
 
+(* The per-event float state.  All-float, so OCaml stores it flat:
+   writing the clock or a pending time stores no fresh box into a
+   long-lived record and so pays no write barrier.  Arrival, service
+   completion and mode switch are each pending at most once, so each
+   has a fixed slot here; an empty slot holds [infinity] (and sequence
+   number [vacant]). *)
+type clock = {
+  mutable now : float;
+  mutable arrival_at : float;
+  mutable service_at : float;
+  mutable switch_at : float;
+  mutable timer_at : float; (* earliest pending timer, a copy of the heap top *)
+  mutable residency_mark : float;
+  mutable switch_energy : float;
+}
+
+(* Sequence number of an empty slot: it sorts after every pending
+   event, including one scheduled at [infinity]. *)
+let vacant = max_int
+
+(* Events, named by the slot they fire from. *)
+type event = Arrival | Service_done | Switch_done | Timer_fired
+
 type sim = {
   sp : Service_provider.t;
   capacity : int;
   ctl : Controller.t;
   decision_energy : float;
   observer : (snapshot -> unit) option;
-  events : event Event_heap.t;
   arrival_rng : Rng.t;
   service_rng : Rng.t;
   switch_rng : Rng.t;
   workload : Workload.t;
+  clock : clock;
+  (* Pending events fire by (time, sequence number); one counter,
+     bumped at every scheduling, orders ties by scheduling order. *)
+  mutable next_seq : int;
+  mutable arrival_seq : int;
+  mutable service_seq : int;
+  mutable switch_seq : int;
+  mutable switch_target : int; (* -1: no switch pending *)
+  timers : int Event_heap.t; (* controller timers; payload = sequence number *)
+  mutable timer_seq : int; (* of the heap top, [vacant] when empty *)
   (* dynamic state *)
-  mutable now : float;
   mutable mode : int;
-  mutable switching : (int * Event_heap.handle) option;
   mutable in_transfer : bool;
   queue : float Queue.t; (* arrival timestamps, head = in service (if any) *)
-  mutable serving : Event_heap.handle option;
   (* statistics *)
   power : Stat.Time_weighted.t;
   count : Stat.Time_weighted.t;
   waiting : Stat.Welford.t;
   residency : float array;
-  mutable residency_mark : float;
   mutable generated : int;
   mutable accepted : int;
   mutable lost : int;
   mutable completed : int;
   mutable switch_count : int;
-  mutable switch_energy : float;
   mutable decisions : int;
   mutable events_processed : int;
   probes : probes option;
@@ -147,16 +172,11 @@ let close_segment s g ~upto =
    before handling an event at [upto], so the accumulators still hold
    the pre-event signal and the integral up to the boundary is
    exact. *)
-let flush_segments s ~upto =
-  match s.seg with
-  | None -> ()
-  | Some g ->
-      while
-        g.seg_idx < Array.length g.bounds && g.bounds.(g.seg_idx) <= upto
-      do
-        close_segment s g ~upto:g.bounds.(g.seg_idx);
-        g.seg_idx <- g.seg_idx + 1
-      done
+let flush_segments s g ~upto =
+  while g.seg_idx < Array.length g.bounds && g.bounds.(g.seg_idx) <= upto do
+    close_segment s g ~upto:g.bounds.(g.seg_idx);
+    g.seg_idx <- g.seg_idx + 1
+  done
 
 (* At end of run: remaining boundaries (past the horizon) all collapse
    to zero-width segments at [duration], so every run over the same
@@ -172,49 +192,75 @@ let finalize_segments s ~duration =
       close_segment s g ~upto:duration;
       Array.of_list (List.rev g.closed)
 
+let switching_to s = if s.switch_target < 0 then None else Some s.switch_target
+
 let observation s =
   {
-    Controller.time = s.now;
+    Controller.time = s.clock.now;
     mode = s.mode;
-    switching_to = Option.map fst s.switching;
+    switching_to = switching_to s;
     queue_length = Queue.length s.queue;
     in_transfer = s.in_transfer;
   }
 
 let settle_residency s =
-  s.residency.(s.mode) <- s.residency.(s.mode) +. (s.now -. s.residency_mark);
-  s.residency_mark <- s.now
+  let c = s.clock in
+  s.residency.(s.mode) <- s.residency.(s.mode) +. (c.now -. c.residency_mark);
+  c.residency_mark <- c.now
+
+let take_seq s =
+  let q = s.next_seq in
+  s.next_seq <- q + 1;
+  q
 
 let cancel_switch s =
-  match s.switching with
-  | None -> ()
-  | Some (_, h) ->
-      Event_heap.cancel s.events h;
-      s.switching <- None
+  s.clock.switch_at <- infinity;
+  s.switch_seq <- vacant;
+  s.switch_target <- -1
 
 let start_switch s target =
-  cancel_switch s;
   let rate = Service_provider.switch_rate s.sp s.mode target in
   let delay = Dist.exponential_sample s.switch_rng ~rate in
-  let h = Event_heap.push s.events ~time:(s.now +. delay) (Switch_done target) in
-  s.switching <- Some (target, h)
+  s.clock.switch_at <- s.clock.now +. delay;
+  s.switch_seq <- take_seq s;
+  s.switch_target <- target
 
 let maybe_start_service s =
   if
-    s.serving = None
+    s.service_seq = vacant
     && (not s.in_transfer)
     && (not (Queue.is_empty s.queue))
     && Service_provider.is_active s.sp s.mode
   then begin
     let rate = Service_provider.service_rate s.sp s.mode in
     let delay = Dist.exponential_sample s.service_rng ~rate in
-    s.serving <- Some (Event_heap.push s.events ~time:(s.now +. delay) Service_done)
+    s.clock.service_at <- s.clock.now +. delay;
+    s.service_seq <- take_seq s
+  end
+
+(* Re-read the heap top after it changed. *)
+let refresh_timer s =
+  match Event_heap.peek s.timers with
+  | None ->
+      s.clock.timer_at <- infinity;
+      s.timer_seq <- vacant
+  | Some (time, seq) ->
+      s.clock.timer_at <- time;
+      s.timer_seq <- seq
+
+let add_timer s time =
+  let seq = take_seq s in
+  Event_heap.push s.timers ~time seq;
+  (* A later push has a larger sequence number, so only a strictly
+     earlier time displaces the top. *)
+  if s.timer_seq = vacant || time < s.clock.timer_at then begin
+    s.clock.timer_at <- time;
+    s.timer_seq <- seq
   end
 
 let apply_decision s (d : Controller.decision) =
   (match d.timer with
-  | Some delay when delay >= 0.0 ->
-      ignore (Event_heap.push s.events ~time:(s.now +. delay) Timer_fired)
+  | Some delay when delay >= 0.0 -> add_timer s (s.clock.now +. delay)
   | Some _ | None -> ());
   (match d.target with
   | None -> ()
@@ -227,16 +273,13 @@ let apply_decision s (d : Controller.decision) =
         cancel_switch s;
         s.in_transfer <- false
       end
-      else begin
-        let already = match s.switching with Some (t', _) -> t' = t | None -> false in
-        if not already then begin
-          (* Constraint (1): never pull an active SP off a request in
-             flight.  The command is dropped; the controller will be
-             consulted again on the next event. *)
-          let service_in_progress = s.serving <> None in
-          let target_inactive = not (Service_provider.is_active s.sp t) in
-          if not (service_in_progress && target_inactive) then start_switch s t
-        end
+      else if t <> s.switch_target then begin
+        (* Constraint (1): never pull an active SP off a request in
+           flight.  The command is dropped; the controller will be
+           consulted again on the next event. *)
+        let service_in_progress = s.service_seq <> vacant in
+        let target_inactive = not (Service_provider.is_active s.sp t) in
+        if not (service_in_progress && target_inactive) then start_switch s t
       end);
   maybe_start_service s
 
@@ -252,93 +295,143 @@ let notify_observer s label =
   | Some f ->
       f
         {
-          snap_time = s.now;
+          snap_time = s.clock.now;
           snap_event = label;
           snap_mode = s.mode;
           snap_queue = Queue.length s.queue;
-          snap_switching_to = Option.map fst s.switching;
+          snap_switching_to = switching_to s;
           snap_in_transfer = s.in_transfer;
         }
 
 let schedule_next_arrival s =
-  match Workload.next_arrival s.workload s.arrival_rng ~now:s.now with
+  match Workload.next_arrival s.workload s.arrival_rng ~now:s.clock.now with
   | None -> ()
-  | Some t -> ignore (Event_heap.push s.events ~time:t Arrival)
+  | Some t ->
+      if Float.is_nan t then invalid_arg "Power_sim: NaN arrival time";
+      s.clock.arrival_at <- t;
+      s.arrival_seq <- take_seq s
+
+let[@inline] earlier (t : float) (q : int) (t' : float) (q' : int) =
+  t < t' || (t = t' && q < q')
+
+(* The earliest pending event by (time, sequence number).  The
+   [Some] values are constants, so this allocates nothing. *)
+let next_event s =
+  let c = s.clock in
+  let k = ref (Some Arrival) and t = ref c.arrival_at and q = ref s.arrival_seq in
+  if earlier c.service_at s.service_seq !t !q then begin
+    k := Some Service_done;
+    t := c.service_at;
+    q := s.service_seq
+  end;
+  if earlier c.switch_at s.switch_seq !t !q then begin
+    k := Some Switch_done;
+    t := c.switch_at;
+    q := s.switch_seq
+  end;
+  if earlier c.timer_at s.timer_seq !t !q then begin
+    k := Some Timer_fired;
+    q := s.timer_seq
+  end;
+  if !q = vacant then None else !k
+
+let[@inline] event_time c = function
+  | Arrival -> c.arrival_at
+  | Service_done -> c.service_at
+  | Switch_done -> c.switch_at
+  | Timer_fired -> c.timer_at
+
+(* Pending events right after one was handled: occupied slots plus
+   timers. *)
+let pending s =
+  Bool.to_int (s.arrival_seq <> vacant)
+  + Bool.to_int (s.service_seq <> vacant)
+  + Bool.to_int (s.switch_seq <> vacant)
+  + Event_heap.size s.timers
 
 let handle_event s event =
+  let c = s.clock in
   let label =
     match event with
-  | Arrival ->
-      s.generated <- s.generated + 1;
-      schedule_next_arrival s;
-      if Queue.length s.queue >= s.capacity then begin
-        s.lost <- s.lost + 1;
-        consult s Controller.Arrival_lost;
-        "arrival_lost"
-      end
-      else begin
-        Queue.add s.now s.queue;
-        s.accepted <- s.accepted + 1;
-        Stat.Time_weighted.update s.count ~at:s.now
+    | Arrival ->
+        c.arrival_at <- infinity;
+        s.arrival_seq <- vacant;
+        s.generated <- s.generated + 1;
+        schedule_next_arrival s;
+        if Queue.length s.queue >= s.capacity then begin
+          s.lost <- s.lost + 1;
+          consult s Controller.Arrival_lost;
+          "arrival_lost"
+        end
+        else begin
+          Queue.add c.now s.queue;
+          s.accepted <- s.accepted + 1;
+          Stat.Time_weighted.update s.count ~at:c.now
+            (float_of_int (Queue.length s.queue));
+          consult s Controller.Arrival;
+          "arrival"
+        end
+    | Service_done ->
+        c.service_at <- infinity;
+        s.service_seq <- vacant;
+        let level = Queue.length s.queue in
+        let wait = c.now -. Queue.pop s.queue in
+        Stat.Welford.add s.waiting wait;
+        (match s.seg with
+        | Some g -> Stat.Welford.add g.seg_waiting wait
+        | None -> ());
+        s.completed <- s.completed + 1;
+        s.in_transfer <- true;
+        Stat.Time_weighted.update s.count ~at:c.now
           (float_of_int (Queue.length s.queue));
-        consult s Controller.Arrival;
-        "arrival"
-      end
-  | Service_done ->
-      let level = Queue.length s.queue in
-      let arrived = Queue.pop s.queue in
-      Stat.Welford.add s.waiting (s.now -. arrived);
-      (match s.seg with
-      | Some g -> Stat.Welford.add g.seg_waiting (s.now -. arrived)
-      | None -> ());
-      s.completed <- s.completed + 1;
-      s.serving <- None;
-      s.in_transfer <- true;
-      Stat.Time_weighted.update s.count ~at:s.now
-        (float_of_int (Queue.length s.queue));
-      consult s (Controller.Service_completed level);
-      (* A controller that issues no command leaves the SP where it
-         is, and an SP that is not switching keeps serving: resolve
-         the transfer instantly rather than stall the server. *)
-      if s.in_transfer && s.switching = None then begin
+        consult s (Controller.Service_completed level);
+        (* A controller that issues no command leaves the SP where it
+           is, and an SP that is not switching keeps serving: resolve
+           the transfer instantly rather than stall the server. *)
+        if s.in_transfer && s.switch_target < 0 then begin
+          s.in_transfer <- false;
+          maybe_start_service s
+        end;
+        "service_done"
+    | Switch_done ->
+        let target = s.switch_target in
+        cancel_switch s;
+        settle_residency s;
+        let energy = Service_provider.switch_energy s.sp s.mode target in
+        c.switch_energy <- c.switch_energy +. energy;
+        Stat.Time_weighted.add_impulse s.power energy;
+        s.switch_count <- s.switch_count + 1;
+        s.mode <- target;
         s.in_transfer <- false;
-        maybe_start_service s
-      end;
-      "service_done"
-  | Switch_done target ->
-      settle_residency s;
-      s.switch_energy <-
-        s.switch_energy +. Service_provider.switch_energy s.sp s.mode target;
-      Stat.Time_weighted.add_impulse s.power
-        (Service_provider.switch_energy s.sp s.mode target);
-      s.switch_count <- s.switch_count + 1;
-      s.mode <- target;
-      s.switching <- None;
-      s.in_transfer <- false;
-      Stat.Time_weighted.update s.power ~at:s.now (Service_provider.power s.sp target);
-      consult s Controller.Switch_completed;
-      "switch_done"
-  | Timer_fired ->
-      consult s Controller.Timer;
-      "timer"
+        Stat.Time_weighted.update s.power ~at:c.now (Service_provider.power s.sp target);
+        consult s Controller.Switch_completed;
+        "switch_done"
+    | Timer_fired ->
+        ignore (Event_heap.pop s.timers);
+        refresh_timer s;
+        consult s Controller.Timer;
+        "timer"
   in
   s.events_processed <- s.events_processed + 1;
   (match s.probes with
   | None -> ()
   | Some p ->
       Dpm_obs.Metrics.incr p.ev_total;
-      (* +1: the event just handled was already popped off the heap. *)
-      Dpm_obs.Metrics.set_max p.heap_depth_max
-        (float_of_int (Event_heap.size s.events + 1));
+      (* +1: the event just handled. *)
+      Dpm_obs.Metrics.set_max p.heap_depth_max (float_of_int (pending s + 1));
       Dpm_obs.Metrics.incr
         (match event with
         | Arrival ->
             if String.equal label "arrival_lost" then p.ev_arrival_lost
             else p.ev_arrival
         | Service_done -> p.ev_service_done
-        | Switch_done _ -> p.ev_switch_done
+        | Switch_done -> p.ev_switch_done
         | Timer_fired -> p.ev_timer));
   notify_observer s label
+
+let stopped s = function
+  | Requests n -> s.generated >= n
+  | Sim_time t -> s.clock.now >= t
 
 let run ?(seed = 1L) ?initial_mode ?(decision_energy = 0.0) ?observer ?segments
     ~sys ~workload ~controller ~stop () =
@@ -409,28 +502,39 @@ let run ?(seed = 1L) ?initial_mode ?(decision_energy = 0.0) ?observer ?segments
       ctl = controller;
       decision_energy;
       observer;
-      events = Event_heap.create ();
       arrival_rng = Rng.split root;
       service_rng = Rng.split root;
       switch_rng = Rng.split root;
       workload;
-      now = 0.0;
+      clock =
+        {
+          now = 0.0;
+          arrival_at = infinity;
+          service_at = infinity;
+          switch_at = infinity;
+          timer_at = infinity;
+          residency_mark = 0.0;
+          switch_energy = 0.0;
+        };
+      next_seq = 0;
+      arrival_seq = vacant;
+      service_seq = vacant;
+      switch_seq = vacant;
+      switch_target = -1;
+      timers = Event_heap.create ();
+      timer_seq = vacant;
       mode = initial_mode;
-      switching = None;
       in_transfer = false;
       queue = Queue.create ();
-      serving = None;
       power = Stat.Time_weighted.create (Service_provider.power sp initial_mode);
       count = Stat.Time_weighted.create 0.0;
       waiting = Stat.Welford.create ();
       residency = Array.make (Service_provider.num_modes sp) 0.0;
-      residency_mark = 0.0;
       generated = 0;
       accepted = 0;
       lost = 0;
       completed = 0;
       switch_count = 0;
-      switch_energy = 0.0;
       decisions = 0;
       events_processed = 0;
       probes;
@@ -439,27 +543,30 @@ let run ?(seed = 1L) ?initial_mode ?(decision_energy = 0.0) ?observer ?segments
   in
   consult s Controller.Init;
   schedule_next_arrival s;
-  let stop_now () =
-    match stop with
-    | Requests n -> s.generated >= n
-    | Sim_time t -> s.now >= t
-  in
-  let horizon = match stop with Sim_time t -> Some t | Requests _ -> None in
-  let rec loop () =
-    if not (stop_now ()) then begin
-      match Event_heap.pop s.events with
-      | None -> () (* workload exhausted and nothing pending *)
-      | Some (t, event) -> (
-          match horizon with
-          | Some h when t > h -> s.now <- h
-          | Some _ | None ->
-              flush_segments s ~upto:t;
-              s.now <- t;
-              handle_event s event;
-              loop ())
-    end
-  in
-  loop ();
+  let horizon = match stop with Sim_time t -> t | Requests _ -> infinity in
+  let c = s.clock in
+  let running = ref true in
+  while !running && not (stopped s stop) do
+    match next_event s with
+    | None -> running := false (* workload exhausted *)
+    | Some event ->
+        let t = event_time c event in
+        if t > horizon then begin
+          c.now <- horizon;
+          running := false
+        end
+        else begin
+          (* The boundary test is inlined so that an event crossing no
+             boundary does not box [t] for the call. *)
+          (match s.seg with
+          | Some g
+            when g.seg_idx < Array.length g.bounds && g.bounds.(g.seg_idx) <= t ->
+              flush_segments s g ~upto:t
+          | Some _ | None -> ());
+          c.now <- t;
+          handle_event s event
+        end
+  done;
   settle_residency s;
   if probes <> None then begin
     let wall = Dpm_obs.Probe.now () -. wall_start in
@@ -473,7 +580,7 @@ let run ?(seed = 1L) ?initial_mode ?(decision_energy = 0.0) ?observer ?segments
       Dpm_obs.Probe.set "sim.events_per_second"
         (float_of_int s.events_processed /. wall)
   end;
-  let duration = s.now in
+  let duration = c.now in
   let residency_total = Array.fold_left ( +. ) 0.0 s.residency in
   {
     controller = s.ctl.Controller.name;
@@ -491,7 +598,7 @@ let run ?(seed = 1L) ?initial_mode ?(decision_energy = 0.0) ?observer ?segments
        else 0.0);
     controller_decisions = s.decisions;
     switch_count = s.switch_count;
-    switch_energy = s.switch_energy;
+    switch_energy = c.switch_energy;
     mode_residency =
       (if residency_total > 0.0 then
          Array.map (fun x -> x /. residency_total) s.residency

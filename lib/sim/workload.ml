@@ -2,7 +2,12 @@ open Dpm_prob
 
 type kind =
   | Poisson of float
-  | Piecewise of { segments : (float * float) list; final_rate : float }
+  | Piecewise of {
+      segments : (float * float) list;
+      final_rate : float;
+      max_rate : float; (* thinning envelope *)
+      last_boundary : float; (* 0 with no segments *)
+    }
   | Mmpp of {
       rates : float array;
       switch_rate : float array array;
@@ -12,7 +17,9 @@ type kind =
     }
   | Trace of { mutable remaining : float list }
 
-type t = { kind : kind; mutable last_now : float }
+(* [last_now] is a [float ref] (a one-field float record, stored
+   flat) so the per-arrival clock check writes no box. *)
+type t = { kind : kind; last_now : float ref }
 
 let check_rate r =
   if r <= 0.0 || not (Float.is_finite r) then
@@ -26,7 +33,7 @@ let check_rate_nonneg r =
 
 let poisson ~rate =
   check_rate rate;
-  { kind = Poisson rate; last_now = neg_infinity }
+  { kind = Poisson rate; last_now = ref neg_infinity }
 
 let piecewise ~segments ~final_rate =
   check_rate_nonneg final_rate;
@@ -39,7 +46,14 @@ let piecewise ~segments ~final_rate =
         check_boundaries until rest
   in
   check_boundaries 0.0 segments;
-  { kind = Piecewise { segments; final_rate }; last_now = neg_infinity }
+  let max_rate =
+    List.fold_left (fun acc (_, r) -> Float.max acc r) final_rate segments
+  in
+  let last_boundary = List.fold_left (fun _ (until, _) -> until) 0.0 segments in
+  {
+    kind = Piecewise { segments; final_rate; max_rate; last_boundary };
+    last_now = ref neg_infinity;
+  }
 
 let mmpp ~rates ~switch_rate =
   if Array.length rates < 2 then invalid_arg "Workload.mmpp: need >= 2 phases";
@@ -59,7 +73,7 @@ let mmpp ~rates ~switch_rate =
     switch_rate;
   {
     kind = Mmpp { rates; switch_rate; phase = 0; phase_until = None };
-    last_now = neg_infinity;
+    last_now = ref neg_infinity;
   }
 
 let trace times =
@@ -70,7 +84,7 @@ let trace times =
         check t rest
   in
   check 0.0 times;
-  { kind = Trace { remaining = times }; last_now = neg_infinity }
+  { kind = Trace { remaining = times }; last_now = ref neg_infinity }
 
 let of_intervals gaps =
   List.iter
@@ -202,43 +216,35 @@ let of_spec ~rate spec =
                             intervals-file:<path>)"
                            spec)))))
 
-let rate_at segments final_rate t =
-  let rec scan = function
-    | [] -> final_rate
-    | (until, rate) :: rest -> if t < until then rate else scan rest
-  in
-  scan segments
+let rec rate_at segments final_rate t =
+  match segments with
+  | [] -> final_rate
+  | (until, rate) :: rest ->
+      if t < until then rate else rate_at rest final_rate t
+
+(* Thinning against the maximum rate keeps the stream exact for the
+   inhomogeneous process.  Zero-rate segments reject every candidate
+   ([ratio > 0.0] — [Rng.float] can return exactly 0, which must not
+   sneak an arrival through), and once the clock passes the last
+   boundary of an all-quiet tail the stream ends instead of thinning
+   forever.  Top-level, so a draw allocates no closure. *)
+let rec thin rng segments final_rate max_rate last_boundary t =
+  let t = t +. Dist.exponential_sample rng ~rate:max_rate in
+  if final_rate <= 0.0 && t >= last_boundary then None
+  else
+    let ratio = rate_at segments final_rate t /. max_rate in
+    if ratio > 0.0 && Rng.float rng <= ratio then Some t
+    else thin rng segments final_rate max_rate last_boundary t
 
 let next_arrival w rng ~now =
-  if now < w.last_now then
+  if now < !(w.last_now) then
     invalid_arg "Workload.next_arrival: time moved backwards";
-  w.last_now <- now;
+  w.last_now := now;
   match w.kind with
   | Poisson rate -> Some (now +. Dist.exponential_sample rng ~rate)
-  | Piecewise { segments; final_rate } ->
-      (* Thinning against the maximum rate keeps the stream exact for
-         the inhomogeneous process.  Zero-rate segments reject every
-         candidate ([ratio > 0.0] — [Rng.float] can return exactly 0,
-         which must not sneak an arrival through), and once the
-         clock passes the last boundary of an all-quiet tail the
-         stream ends instead of thinning forever. *)
-      let max_rate =
-        List.fold_left (fun acc (_, r) -> Float.max acc r) final_rate segments
-      in
+  | Piecewise { segments; final_rate; max_rate; last_boundary } ->
       if max_rate <= 0.0 then None
-      else begin
-        let last_boundary =
-          List.fold_left (fun _ (until, _) -> until) 0.0 segments
-        in
-        let rec draw t =
-          let t = t +. Dist.exponential_sample rng ~rate:max_rate in
-          if final_rate <= 0.0 && t >= last_boundary then None
-          else
-            let ratio = rate_at segments final_rate t /. max_rate in
-            if ratio > 0.0 && Rng.float rng <= ratio then Some t else draw t
-        in
-        draw now
-      end
+      else thin rng segments final_rate max_rate last_boundary now
   | Mmpp m ->
       (* Race the next arrival (at the phase's rate) against the next
          phase switch; iterate across switches until an arrival wins. *)
@@ -286,7 +292,7 @@ let next_arrival w rng ~now =
 let mean_rate_hint w =
   match w.kind with
   | Poisson rate -> rate
-  | Piecewise { segments; final_rate } ->
+  | Piecewise { segments; final_rate; _ } ->
       (* Time-weighted mean over the declared horizon, then the final
          rate dominates; a hint, not an exact statistic. *)
       let rec fold prev acc = function

@@ -5,7 +5,7 @@ let t = Alcotest.test_case
 let pop_in_time_order () =
   let h = Event_heap.create () in
   List.iter
-    (fun (time, v) -> ignore (Event_heap.push h ~time v))
+    (fun (time, v) -> Event_heap.push h ~time v)
     [ (3.0, "c"); (1.0, "a"); (2.0, "b"); (5.0, "e"); (4.0, "d") ];
   let order = ref [] in
   let rec drain () =
@@ -22,7 +22,7 @@ let pop_in_time_order () =
 let ties_fire_in_insertion_order () =
   let h = Event_heap.create () in
   for i = 0 to 9 do
-    ignore (Event_heap.push h ~time:1.0 i)
+    Event_heap.push h ~time:1.0 i
   done;
   for i = 0 to 9 do
     match Event_heap.pop h with
@@ -33,52 +33,29 @@ let ties_fire_in_insertion_order () =
 let size_tracks_live_events () =
   let h = Event_heap.create () in
   Alcotest.(check bool) "empty" true (Event_heap.is_empty h);
-  let k1 = Event_heap.push h ~time:1.0 () in
-  let _k2 = Event_heap.push h ~time:2.0 () in
-  Alcotest.(check int) "two live" 2 (Event_heap.size h);
-  Event_heap.cancel h k1;
-  Alcotest.(check int) "one live after cancel" 1 (Event_heap.size h);
-  Event_heap.cancel h k1;
-  Alcotest.(check int) "double cancel no-op" 1 (Event_heap.size h)
+  Event_heap.push h ~time:1.0 ();
+  Event_heap.push h ~time:2.0 ();
+  Alcotest.(check int) "two live" 2 (Event_heap.size h)
 
-let cancelled_events_never_fire () =
+let peek_does_not_consume () =
   let h = Event_heap.create () in
-  let k1 = Event_heap.push h ~time:1.0 "dead" in
-  ignore (Event_heap.push h ~time:2.0 "alive");
-  Event_heap.cancel h k1;
-  (match Event_heap.pop h with
-  | Some (time, v) ->
-      Alcotest.(check string) "skips cancelled" "alive" v;
-      Test_util.check_close "time" 2.0 time
-  | None -> Alcotest.fail "expected an event");
-  Alcotest.(check bool) "now empty" true (Event_heap.is_empty h)
-
-let cancel_after_fire_is_noop () =
-  let h = Event_heap.create () in
-  let k = Event_heap.push h ~time:1.0 () in
-  ignore (Event_heap.pop h);
-  Event_heap.cancel h k;
-  Alcotest.(check int) "size stays zero" 0 (Event_heap.size h)
-
-let peek_skips_cancelled () =
-  let h = Event_heap.create () in
-  let k = Event_heap.push h ~time:1.0 "dead" in
-  ignore (Event_heap.push h ~time:3.0 "alive");
-  Event_heap.cancel h k;
-  Alcotest.(check (option (float 0.0))) "peek" (Some 3.0) (Event_heap.peek_time h);
-  Alcotest.(check int) "peek did not consume" 1 (Event_heap.size h)
+  Alcotest.(check bool) "empty" true (Event_heap.peek h = None);
+  Event_heap.push h ~time:3.0 "late";
+  Event_heap.push h ~time:1.0 "early";
+  Alcotest.(check bool) "earliest" true (Event_heap.peek h = Some (1.0, "early"));
+  Alcotest.(check int) "peek did not consume" 2 (Event_heap.size h)
 
 let nan_rejected () =
   let h = Event_heap.create () in
   Test_util.check_raises_invalid "NaN time" (fun () ->
-      ignore (Event_heap.push h ~time:Float.nan ()))
+      Event_heap.push h ~time:Float.nan ())
 
 let prop_heap_sorts_random_streams =
   Test_util.qtest "random pushes pop sorted"
     QCheck2.Gen.(list_size (int_range 0 200) (float_range 0.0 1000.0))
     (fun times ->
       let h = Event_heap.create () in
-      List.iter (fun time -> ignore (Event_heap.push h ~time time)) times;
+      List.iter (fun time -> Event_heap.push h ~time time) times;
       let rec drain acc =
         match Event_heap.pop h with
         | Some (_, v) -> drain (v :: acc)
@@ -86,33 +63,12 @@ let prop_heap_sorts_random_streams =
       in
       drain [] = List.sort compare times)
 
-let prop_cancel_half =
-  Test_util.qtest "cancelling odd-indexed events leaves the rest"
-    QCheck2.Gen.(list_size (int_range 0 100) (float_range 0.0 100.0))
-    (fun times ->
-      let h = Event_heap.create () in
-      let handles = List.map (fun time -> Event_heap.push h ~time time) times in
-      List.iteri (fun i k -> if i mod 2 = 1 then Event_heap.cancel h k) handles;
-      let expected =
-        List.sort compare
-          (List.filteri (fun i _ -> i mod 2 = 0) times)
-      in
-      let rec drain acc =
-        match Event_heap.pop h with
-        | Some (_, v) -> drain (v :: acc)
-        | None -> List.rev acc
-      in
-      drain [] = expected)
-
 let suite =
   [
     t "pop order" `Quick pop_in_time_order;
     t "tie-break by insertion" `Quick ties_fire_in_insertion_order;
     t "size tracking" `Quick size_tracks_live_events;
-    t "cancellation" `Quick cancelled_events_never_fire;
-    t "cancel after fire" `Quick cancel_after_fire_is_noop;
-    t "peek skips cancelled" `Quick peek_skips_cancelled;
+    t "peek" `Quick peek_does_not_consume;
     t "NaN rejected" `Quick nan_rejected;
     prop_heap_sorts_random_streams;
-    prop_cancel_half;
   ]

@@ -43,6 +43,18 @@ let solve_many_shares_factorization () =
       Test_util.check_vec "second rhs" [| 2.0; 2.0 |] x2
   | _ -> Alcotest.fail "expected two solutions"
 
+(* A leading zero pivot forces row swaps, so the inverse permutation
+   is exercised. *)
+let transposed_solve () =
+  let a =
+    Matrix.of_arrays
+      [| [| 0.0; 2.0; 1.0 |]; [| 3.0; -1.0; 4.0 |]; [| 1.0; 5.0; -2.0 |] |]
+  in
+  let b = [| 1.0; -2.0; 3.0 |] in
+  Test_util.check_vec ~tol:1e-12 "A^T x = b"
+    (Lu.solve (Matrix.transpose a) b)
+    (Lu.solve_transposed_factored (Lu.decompose a) b)
+
 (* Diagonally dominant random systems are comfortably nonsingular. *)
 let dominant_gen =
   QCheck2.Gen.(
@@ -82,6 +94,23 @@ let prop_inverse_roundtrip =
         (Matrix.identity (Matrix.rows a))
         (Matrix.mul (Lu.inverse a) a))
 
+let prop_transposed_solve =
+  Test_util.qtest "transposed solve matches explicit transpose"
+    QCheck2.Gen.(
+      int_range 1 8 >>= fun n ->
+      map
+        (fun l -> Matrix.init n n (fun i j -> List.nth l ((i * n) + j)))
+        (list_repeat (n * n) (float_range (-5.0) 5.0)))
+    (fun a ->
+      let n = Matrix.rows a in
+      let b = Vec.init n (fun i -> float_of_int ((2 * i) - n)) in
+      match Lu.decompose a with
+      | exception Lu.Singular _ -> true
+      | lu ->
+          let x = Lu.solve_transposed_factored lu b in
+          Lu.residual_norm (Matrix.transpose a) x b
+          <= 1e-8 *. (1.0 +. Vec.norm_inf x))
+
 let suite =
   [
     t "known system" `Quick solve_known_system;
@@ -90,7 +119,9 @@ let suite =
     t "determinant" `Quick determinant;
     t "inverse" `Quick inverse_roundtrip;
     t "solve_many" `Quick solve_many_shares_factorization;
+    t "transposed solve" `Quick transposed_solve;
     prop_residual_small;
     prop_det_product;
     prop_inverse_roundtrip;
+    prop_transposed_solve;
   ]

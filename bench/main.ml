@@ -37,7 +37,7 @@ let perf_tests () =
   (* The relative-value system of one policy evaluation on the paper
      SP at Q = 100 (403 states): the first-choice policy's generator,
      with the reference state's column carrying the gain unknown. *)
-  let pi_a, pi_b =
+  let pi_a, pi_b, pi_model =
     let open Dpm_ctmdp in
     let sys =
       Sys_model.create ~sp:(Paper_instance.service_provider ())
@@ -57,6 +57,41 @@ let perf_tests () =
         c.Model.rates;
       Dpm_linalg.Matrix.set a i 0 (-1.0)
     done;
+    (a, b, m)
+  in
+  (* The same system under the row and column permutation policy
+     iteration uses: rows and non-reference columns in reverse
+     Cuthill-McKee order of the model's transition graph, the gain
+     column last. *)
+  let band_a, band_b =
+    let open Dpm_ctmdp in
+    let n = Model.num_states pi_model in
+    let o =
+      Dpm_linalg.Band.rcm ~late:0 n (fun f ->
+          for i = 0 to n - 1 do
+            for k = 0 to Model.num_choices pi_model i - 1 do
+              List.iter
+                (fun (j, _) -> f i j)
+                (Model.choice pi_model i k).Model.rates
+            done
+          done)
+    in
+    let pos = o.Dpm_linalg.Band.position
+    and hb = o.Dpm_linalg.Band.half_bandwidth in
+    let col j =
+      if j = 0 then n - 1
+      else if pos.(j) > pos.(0) then pos.(j) - 1
+      else pos.(j)
+    in
+    let a = Dpm_linalg.Band.create ~n ~kl:(hb + 1) ~ku:hb in
+    let b = Dpm_linalg.Vec.create n in
+    for i = 0 to n - 1 do
+      b.(pos.(i)) <- pi_b.(i);
+      for j = 0 to n - 1 do
+        let x = Dpm_linalg.Matrix.get pi_a i j in
+        if x <> 0.0 then Dpm_linalg.Band.set a pos.(i) (col j) x
+      done
+    done;
     (a, b)
   in
   Test.make_grouped ~name:"dpm"
@@ -71,10 +106,18 @@ let perf_tests () =
       Test.make ~name:"tab1/analytic_metrics"
         (Staged.stage (fun () -> Analytic.of_action_array sys greedy_actions));
       (* LU kernel: one dense factorization and solve of that system,
-         the body of every dense policy-evaluation step. *)
+         the body of every direct policy-evaluation step before band
+         storage. *)
       Test.make ~name:"lu/pi_system_403"
         (Staged.stage (fun () ->
              Dpm_linalg.Lu.solve_factored (Dpm_linalg.Lu.decompose pi_a) pi_b));
+      (* The banded kernel on the same system in band order, the body
+         of every direct policy-evaluation step. *)
+      Test.make ~name:"lu/pi_system_403_band"
+        (Staged.stage (fun () ->
+             Dpm_linalg.Band.solve_factored
+               (Dpm_linalg.Band.decompose band_a)
+               band_b));
       (* FIG5 kernel: event-driven simulation (2k requests). *)
       Test.make ~name:"fig5/simulate_2k_requests" (Staged.stage sim_once);
       (* NPOLICY2 kernel: model construction. *)

@@ -7,13 +7,15 @@
     - {!gth}: the Grassmann-Taksar-Heyman elimination, which performs
       no subtractions and is therefore backward stable even for the
       stiff generators produced by the big-M self-switch rate
-      (DESIGN.md decision 1);
+      (DESIGN.md decision 1).  Eliminating a state fills only inside
+      the band of the current order, so it runs on band storage;
+      {!solve} uses a bandwidth-reducing order;
     - {!lu_solve}: replace one balance equation with the
       normalization and solve by LU — the textbook approach;
     - {!iterative}: sparse Gauss-Seidel for large state spaces.
 
-    [solve] picks GTH for dense-backed generators and Gauss-Seidel
-    for sparse-backed ones. *)
+    [solve] picks GTH for dense-backed generators and small closed
+    classes, Gauss-Seidel for larger sparse-backed ones. *)
 
 open Dpm_linalg
 
@@ -23,10 +25,13 @@ exception Not_irreducible of string
     distribution exists (Theorem 2.1 requires a unique one). *)
 
 val gth : ?guard:(unit -> unit) -> Generator.t -> Vec.t
-(** [gth g] computes the stationary distribution by GTH elimination.
+(** [gth g] computes the stationary distribution by GTH elimination
+    in the natural state order, on band storage: O(n b{^2}) time and
+    O(n b) space for the half-bandwidth b of that order (b < n), and
+    bit-identical to the dense n x n elimination, whose arithmetic
+    over the zeros outside the band is exact.
     [guard] (default no-op) is invoked before each elimination step
-    and may raise to abort — the [Dpm_robust] deadline hook.
-    O(n^3) time, O(n^2) space (densifies sparse inputs).  Exact up to
+    and may raise to abort — the [Dpm_robust] deadline hook.  Exact up to
     rounding for {e irreducible} generators only — the back
     substitution anchors the measure at state 0, so a transient
     state 0 silently corrupts the result; use {!solve}, which
@@ -73,10 +78,13 @@ val implicit :
 val solve : ?check:bool -> ?guard:(unit -> unit) -> Generator.t -> Vec.t
 (** [solve g] computes the limiting distribution of any chain with a
     unique closed class: it classifies states (Tarjan), solves the
-    closed class in isolation (GTH for dense-backed generators,
-    Gauss-Seidel with a GTH fallback for sparse ones — fallbacks are
-    counted as [steady_state.gth_fallbacks]) and assigns probability
-    zero to transient states.  Raises {!Not_irreducible} when the
+    closed class in isolation and assigns probability zero to
+    transient states.  The closed class is solved by GTH in a reverse
+    Cuthill-McKee order, on band storage, when [g] is dense-backed or
+    the class has at most 256 states; otherwise by Gauss-Seidel with
+    that GTH as fallback (counted as [steady_state.gth_fallbacks]).
+    A class is restricted through an index array, its band filled
+    straight from [g]'s rows.  Raises {!Not_irreducible} when the
     closed class is not unique.  [check] is kept for interface
     stability and ignored — classification always runs.  [guard] is
     threaded into the GTH elimination and the sweeps (see {!gth}). *)

@@ -25,55 +25,83 @@ let check_ref_state m ref_state =
 let exit_rate_of (c : Model.choice) =
   List.fold_left (fun acc (_, r) -> acc +. r) 0.0 c.Model.rates
 
+(* The union of every action's transitions is one graph for the whole
+   model, so one reverse Cuthill-McKee order serves every policy's
+   system; [solve] computes it once.  Of the order and its reverse
+   (same bandwidth) it takes the one that eliminates the reference
+   state's row late.  Under the big-M self-switch rates that choice
+   matters: over 800 random paper-SP models, policy iteration hit its
+   iteration cap on 5 in this orientation against 96 in the other
+   (DESIGN.md decision 18). *)
+let band_order m ~ref_state =
+  let n = Model.num_states m in
+  Band.rcm ~late:ref_state n (fun f ->
+      for i = 0 to n - 1 do
+        for k = 0 to Model.num_choices m i - 1 do
+          List.iter (fun (j, _) -> f i j) (Model.choice m i k).Model.rates
+        done
+      done)
+
 (* Unknowns x: x.(j) = v_j for j <> ref_state, x.(ref_state) = gain.
    Equation for state i:  sum_j G_ij v_j - gain = -c_i,
    with v_{ref} = 0 substituted (so rates into the reference state
    drop out and its column carries the gain unknown instead).
 
+   The system is stored in band order: state [i]'s equation is row
+   [position i], the non-reference states' columns keep that order
+   with the reference state's slot closed up (lower bandwidth b + 1,
+   upper b), and the gain column, all -1, is the dense last column.
    The assembly reads the policy's transition structure straight off
-   [Model.choice] — O(n + nnz), no intermediate [Generator] and no
-   O(n^2) dense scan. *)
+   [Model.choice] — O(n b + nnz), no intermediate [Generator]. *)
 
-let dense_system ~ref_state m p =
+let column (o : Band.ordering) ~ref_state j =
+  let q = o.Band.position.(j) in
+  if q > o.Band.position.(ref_state) then q - 1 else q
+
+let band_system (o : Band.ordering) ~ref_state m p =
   let n = Model.num_states m in
-  let a = Matrix.create n n in
-  let b = Vec.create n in
+  let b = o.Band.half_bandwidth in
+  let a = Band.create ~n ~kl:(b + 1) ~ku:b in
+  let rhs = Vec.create n in
   for i = 0 to n - 1 do
     let c = Model.choice m i (Policy.choice_index p i) in
-    b.(i) <- -.c.Model.cost;
-    if i <> ref_state then Matrix.set a i i (-.(exit_rate_of c));
+    let row = o.Band.position.(i) in
+    rhs.(row) <- -.c.Model.cost;
+    if i <> ref_state then
+      Band.set a row (column o ~ref_state i) (-.(exit_rate_of c));
     List.iter
       (fun (j, r) ->
-        if j <> ref_state then Matrix.update a i j (fun x -> x +. r))
+        if j <> ref_state then Band.add a row (column o ~ref_state j) r)
       c.Model.rates;
-    Matrix.set a i ref_state (-1.0)
+    Band.set a row (n - 1) (-1.0)
   done;
-  (a, b)
+  (a, rhs)
 
 (* A positive [restart_rate] adds an epsilon-rate transition from
    every state to [ref_state], which makes any chain unichain — the
    perturbation used when a multichain policy turns up mid-iteration.
    It only moves the non-reference diagonal entries, so the retry
-   patches the already-assembled matrix in place (the right-hand side
+   patches the already-assembled band in place (the right-hand side
    is untouched) instead of rebuilding the system. *)
-let apply_restart a ~ref_state ~restart_rate =
-  for i = 0 to Matrix.rows a - 1 do
-    if i <> ref_state then Matrix.update a i i (fun x -> x -. restart_rate)
+let apply_restart o a ~ref_state ~restart_rate =
+  for i = 0 to Band.dim a - 1 do
+    if i <> ref_state then
+      Band.add a o.Band.position.(i) (column o ~ref_state i) (-.restart_rate)
   done
 
-let evaluation_of ~ref_state x =
+let evaluation_of o ~ref_state x =
+  let n = Vec.dim x in
   let bias =
-    Vec.init (Vec.dim x) (fun j -> if j = ref_state then 0.0 else x.(j))
+    Vec.init n (fun j ->
+        if j = ref_state then 0.0 else x.(column o ~ref_state j))
   in
-  { gain = x.(ref_state); bias }
+  { gain = x.(n - 1); bias }
 
-let evaluate_gen ~ref_state ~restart_rate m p =
+let evaluate ?(ref_state = 0) m p =
   check_ref_state m ref_state;
-  let a, b = dense_system ~ref_state m p in
-  if restart_rate > 0.0 then apply_restart a ~ref_state ~restart_rate;
-  evaluation_of ~ref_state (Lu.solve a b)
-
-let evaluate ?(ref_state = 0) m p = evaluate_gen ~ref_state ~restart_rate:0.0 m p
+  let o = band_order m ~ref_state in
+  let a, rhs = band_system o ~ref_state m p in
+  evaluation_of o ~ref_state (Band.solve a rhs)
 
 (* Multichain policies (possible when the model contains several
    self-sufficient "orbits" — e.g. two active server speeds whose
@@ -93,18 +121,17 @@ let evaluate ?(ref_state = 0) m p = evaluate_gen ~ref_state ~restart_rate:0.0 m 
    [Dpm_obs]. *)
 let tikhonov_ladder = [| 1e-9; 1e-6; 1e-3 |]
 
-let evaluate_robust ?(ref_state = 0) m p =
-  check_ref_state m ref_state;
-  let a, b = dense_system ~ref_state m p in
-  match Lu.decompose a with
-  | lu -> evaluation_of ~ref_state (Lu.solve_factored lu b)
+let evaluate_robust_in o ~ref_state m p =
+  let a, b = band_system o ~ref_state m p in
+  match Band.decompose a with
+  | lu -> evaluation_of o ~ref_state (Band.solve_factored lu b)
   | exception Lu.Singular first_pivot ->
       Dpm_obs.Probe.incr "policy_iteration.robust_retries";
       Dpm_trace.Provenance.note_robust_retry ();
       let scale = Float.max 1.0 (Model.max_exit_rate m) in
       (* Pristine copy for exact-residual re-verification ([a] is
          patched in place rung by rung). *)
-      let exact_a, exact_b = dense_system ~ref_state m p in
+      let exact_a = Band.copy a in
       let applied = ref 0.0 in
       let last_singular = ref first_pivot in
       let rec attempt rung =
@@ -114,7 +141,7 @@ let evaluate_robust ?(ref_state = 0) m p =
           raise (Lu.Singular !last_singular)
         end;
         let eps = tikhonov_ladder.(rung) *. scale in
-        apply_restart a ~ref_state ~restart_rate:(eps -. !applied);
+        apply_restart o a ~ref_state ~restart_rate:(eps -. !applied);
         applied := eps;
         Dpm_obs.Probe.incr "policy_iteration.tikhonov_rungs";
         Dpm_trace.Provenance.note_tikhonov_rung ();
@@ -128,33 +155,37 @@ let evaluate_robust ?(ref_state = 0) m p =
         Logs.debug (fun k ->
             k "policy evaluation singular (multichain policy?); Tikhonov \
                rung %d, restart rate %g" rung eps);
-        match Lu.decompose a with
+        match Band.decompose a with
         | exception Lu.Singular pivot ->
             last_singular := pivot;
             attempt (rung + 1)
         | lu ->
-            let x = Lu.solve_factored lu b in
+            let x = Band.solve_factored lu b in
             let x_norm = Vec.norm_inf x in
             if not (Float.is_finite x_norm) then attempt (rung + 1)
             else begin
               (* Garbage detector on the system actually factored. *)
-              let r_pert = Lu.residual_norm a x b in
-              let tol_pert = 1e-8 *. Matrix.max_abs a *. Float.max 1.0 x_norm in
+              let r_pert = Band.residual_norm a x b in
+              let tol_pert = 1e-8 *. Band.max_abs a *. Float.max 1.0 x_norm in
               (* Exact-system consistency: the perturbation moves the
                  residual by at most [eps * |x|]; allow 10x headroom
                  plus the perturbed floor, nothing more. *)
-              let r_exact = Lu.residual_norm exact_a x exact_b in
+              let r_exact = Band.residual_norm exact_a x b in
               Dpm_obs.Probe.set "policy_iteration.tikhonov_exact_residual"
                 r_exact;
               let tol_exact = tol_pert +. (10.0 *. eps *. (1.0 +. x_norm)) in
               if r_pert <= tol_pert && r_exact <= tol_exact then begin
                 Dpm_trace.Provenance.note_residual r_exact;
-                evaluation_of ~ref_state x
+                evaluation_of o ~ref_state x
               end
               else attempt (rung + 1)
             end
       in
       attempt 0
+
+let evaluate_robust ?(ref_state = 0) m p =
+  check_ref_state m ref_state;
+  evaluate_robust_in (band_order m ~ref_state) ~ref_state m p
 
 (* --- iterative evaluation ------------------------------------------- *)
 
@@ -401,7 +432,8 @@ let evaluate_iterative ?(ref_state = 0) ?(tol = 1e-12) ?max_iter
   | e -> Ok e
   | exception Fallback reason -> Error reason
 
-let evaluate_sparse ?(ref_state = 0) ?tol ?max_iter ?guard m p =
+(* [order] is forced only when the fallback runs. *)
+let sparse_or_band ~order ~ref_state ?tol ?max_iter ?guard m p =
   match evaluate_iterative ~ref_state ?tol ?max_iter ?guard m p with
   | Ok e ->
       Dpm_obs.Probe.incr "policy_iteration.sparse_evals";
@@ -421,20 +453,25 @@ let evaluate_sparse ?(ref_state = 0) ?tol ?max_iter ?guard m p =
         Dpm_trace.Recorder.instant "pi.sparse_fallback"
           ~args:
             [ ("reason", Dpm_trace.Event.Str (fallback_to_string reason)) ];
-      evaluate_robust ~ref_state m p
+      evaluate_robust_in (order ()) ~ref_state m p
 
-(* Dense LU is O(n^3) but rock solid; the sweeps win once the composed
-   state space outgrows the paper's instances.  The crossover on the
-   queue-capacity ablation sits around a few hundred states. *)
+let evaluate_sparse ?(ref_state = 0) ?tol ?max_iter ?guard m p =
+  sparse_or_band
+    ~order:(fun () -> band_order m ~ref_state)
+    ~ref_state ?tol ?max_iter ?guard m p
+
+(* From this many states on, evaluations try the sweeps first; the
+   direct route below it is the banded LU.  The populations of the
+   design-sweep benchmark follow this split. *)
 let sparse_threshold = 192
 
-let evaluate_routed ?ref_state ~guard m p =
+let evaluate_routed o ~ref_state ~guard m p =
   if Model.num_states m >= sparse_threshold then
-    evaluate_sparse ?ref_state ~guard m p
+    sparse_or_band ~order:(fun () -> o) ~ref_state ~guard m p
   else begin
     Dpm_obs.Probe.set "policy_iteration.eval_path" 0.0;
     Dpm_trace.Provenance.note_eval_path "dense";
-    evaluate_robust ?ref_state m p
+    evaluate_robust_in o ~ref_state m p
   end
 
 let test_quantity i (c : Model.choice) bias =
@@ -467,9 +504,12 @@ let improve m (eval : evaluation) ~incumbent =
   in
   (Policy.of_choice_indices m selection, !changed)
 
-let solve ?ref_state ?(max_iter = 1000) ?init ?(guard = fun () -> ()) m =
+let solve ?(ref_state = 0) ?(max_iter = 1000) ?init ?(guard = fun () -> ()) m
+    =
   Dpm_obs.Span.with_ "policy_iteration" @@ fun () ->
   let t0 = Dpm_obs.Probe.now () in
+  check_ref_state m ref_state;
+  let order = band_order m ~ref_state in
   let origin =
     match init with
     | Some _ -> Dpm_trace.Provenance.Warm
@@ -484,7 +524,7 @@ let solve ?ref_state ?(max_iter = 1000) ?init ?(guard = fun () -> ()) m =
            max_iter);
     let evaluation =
       Dpm_obs.Probe.time "policy_iteration.eval_time_seconds" (fun () ->
-          evaluate_routed ?ref_state ~guard m policy)
+          evaluate_routed order ~ref_state ~guard m policy)
     in
     let next, changed =
       Dpm_obs.Probe.time "policy_iteration.improve_time_seconds" (fun () ->

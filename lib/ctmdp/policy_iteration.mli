@@ -43,10 +43,14 @@ type result = {
 
 val evaluate : ?ref_state:int -> Model.t -> Policy.t -> evaluation
 (** [evaluate m p] solves the relative-value equations of policy [p].
-    [ref_state] (default 0) is the state pinned to bias 0.  Raises
-    [Lu.Singular] if the policy's chain is not unichain (the DPM
-    action constraints rule this out for models built by
-    [Dpm_core]). *)
+    [ref_state] (default 0) is the state pinned to bias 0.  The system
+    is factored by banded LU ({!Dpm_linalg.Band}) in a reverse
+    Cuthill-McKee order of the model's transition graph (the union
+    over every action), oriented so [ref_state] comes late, with the
+    gain unknown as the dense last column: O(n b{^2}) for
+    half-bandwidth b.  Raises [Lu.Singular] if the policy's chain is
+    not unichain (the DPM action constraints rule this out for models
+    built by [Dpm_core]). *)
 
 val evaluate_robust : ?ref_state:int -> Model.t -> Policy.t -> evaluation
 (** Like {!evaluate}, but when the policy's chain is multichain (the
@@ -60,8 +64,9 @@ val evaluate_robust : ?ref_state:int -> Model.t -> Policy.t -> evaluation
     consistent with the deliberate O(eps * |x|) bias.  Exhausting the
     ladder re-raises [Lu.Singular].  {!solve} uses this internally so
     multichain policies encountered mid-iteration do not abort the
-    optimization.  The system is assembled once, directly from
-    [Model.choice]; rungs patch the assembled diagonal in place.
+    optimization.  The band system is assembled once, directly from
+    [Model.choice]; rungs patch its diagonal in place and verify
+    against a pristine copy of the band.
     Probe counters: [policy_iteration.robust_retries] (entries into
     the ladder), [policy_iteration.tikhonov_rungs] (rungs tried),
     gauge [policy_iteration.tikhonov_exact_residual]. *)
@@ -118,7 +123,7 @@ val evaluate_sparse :
   Model.t ->
   Policy.t ->
   evaluation
-(** {!evaluate_iterative} with {!evaluate_robust} (dense LU) behind
+(** {!evaluate_iterative} with {!evaluate_robust} (banded LU) behind
     it: any [Error] is logged at debug level, recorded as a
     [pi.sparse_fallback] trace instant, and answered by the dense
     path, so the result is always within solver tolerance of the
@@ -146,11 +151,12 @@ val solve :
 (** [solve m] runs policy iteration from [init] (default: each
     state's first choice) until the policy is stable.  [max_iter]
     defaults to 1000; exceeding it raises [Failure] (it indicates a
-    modeling bug — PI must terminate on finite models).  Each policy
-    is evaluated by {!evaluate_robust} (dense LU) on models below 192
-    states and by {!evaluate_sparse} on larger ones; the route is
-    recorded in the provenance [eval_path] (["dense"] or
-    ["sparse"]).  [guard] (default no-op) is invoked at the top of
+    modeling bug — PI must terminate on finite models).  The band
+    order is computed once per solve and serves every iteration.
+    Each policy is evaluated by {!evaluate_robust} (banded LU) on
+    models below 192 states and by {!evaluate_sparse} on larger ones;
+    the route is recorded in the provenance [eval_path] (["dense"]
+    for the direct route, or ["sparse"]).  [guard] (default no-op) is invoked at the top of
     every iteration {e and} threaded into the evaluation sweeps, so a
     deadline fires mid-evaluation rather than only between policies —
     the [Dpm_robust] deadline hook. *)

@@ -1,7 +1,9 @@
 (** LU factorization with partial pivoting and related direct solvers.
 
-    Used by the policy-iteration evaluation step (relative value
-    equations) and by the dense steady-state solver.  The factorization
+    Used by the simplex, the discounted and absorbing-chain solvers and
+    [Steady_state.lu_solve]; policy evaluation factors on band storage
+    ({!Band}), whose arithmetic this kernel defines and is tested
+    against.  The factorization
     is Doolittle LU with row partial pivoting; singular systems are
     reported through the [Singular] exception, carrying the pivot
     column at which elimination broke down. *)

@@ -80,6 +80,9 @@ let trace times =
   let rec check prev = function
     | [] -> ()
     | t :: rest ->
+        (* [t <= prev] is false for NaN: test finiteness first. *)
+        if not (Float.is_finite t) then
+          invalid_arg "Workload.trace: times must be finite";
         if t <= prev then invalid_arg "Workload.trace: times must increase";
         check t rest
   in

@@ -30,8 +30,9 @@ val mmpp : rates:float array -> switch_rate:float array array -> t
     off-diagonals (diagonal ignored).  Starts in phase 0. *)
 
 val trace : float list -> t
-(** Replay absolute arrival times (strictly increasing, positive).
-    The stream ends when the trace does. *)
+(** Replay absolute arrival times (finite, strictly increasing,
+    positive).  The stream ends when the trace does.  Raises
+    [Invalid_argument] on a NaN, infinite or non-increasing time. *)
 
 val of_intervals : float list -> t
 (** Replay a trace given as inter-arrival {e gaps} (each positive and
@@ -42,8 +43,8 @@ val load_trace : ?intervals:bool -> string -> (t, string) result
 (** [load_trace path] reads one float per line ([#] comments and
     blank lines ignored) as absolute arrival times, or, with
     [~intervals:true], as inter-arrival gaps ({!of_intervals}).
-    [Error] on I/O failure, an unparsable line, or non-monotone /
-    non-positive values. *)
+    [Error] on I/O failure, an unparsable line, or non-finite,
+    non-monotone or non-positive values. *)
 
 val segments_of_spec : string -> ((float * float) list * float, string) result
 (** Parse the piecewise-rate grammar shared by the CLI and the

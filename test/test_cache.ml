@@ -234,9 +234,7 @@ let hit_metrics_equal_cold () =
         weights)
     [
       ("paper", Paper_instance.system (), golden_weights);
-      (* Policy iteration does not converge at Q=40, w=0.1 (it exhausts
-         its 1000-iteration budget), so that point has no hit to check. *)
-      ("Q=40", Test_util.paper_at_capacity 40, List.tl golden_weights);
+      ("Q=40", Test_util.paper_at_capacity 40, golden_weights);
     ]
 
 let hit_distribution_is_private () =

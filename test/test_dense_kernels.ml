@@ -242,29 +242,48 @@ let decompose_allocation () =
 
 (* --- end-to-end pins --------------------------------------------------- *)
 
-(* [Optimize.solve]'s gain on the paper SP, as Int64 bits of the double,
-   recorded from the [Matrix.get]-based kernels.  Q = 40 evaluates by
-   dense LU throughout; Q = 100 (403 states) tries the iterative route
-   and falls back to dense LU. *)
+(* A dense-[Lu] evaluation's gain, in the assembly the pinned bits
+   were recorded with. *)
+let dense_gain m p =
+  let a, b = Test_util.dense_pi_system m p in
+  (Lu.solve a b).(0)
+
+(* [Optimize.solve] on the paper SP.  [dense] is the gain, as Int64 bits
+   of the double, that the [Matrix.get]-based dense kernels gave: a
+   dense-[Lu] evaluation of the returned policy must still give it.
+   The solver itself evaluates on the banded kernel, in band order;
+   its gain ([band]) stays within 1e-14 relative of [dense].  Q = 40
+   evaluates by the direct route throughout; Q = 100 (403 states)
+   tries the iterative route and falls back to it. *)
 let pinned_gains =
   [
-    (40, 1.0, 4622943692342319814L);
-    (40, 5.0, 4624285629779184524L);
-    (40, 20.0, 4626905632388042100L);
-    (100, 1.0, 4622943692342319814L);
-    (100, 5.0, 4624285629779184524L);
-    (100, 20.0, 4626905632388042100L);
+    (40, 1.0, 4622943692342319814L, 4622943692342319806L);
+    (40, 5.0, 4624285629779184524L, 4624285629779184526L);
+    (40, 20.0, 4626905632388042100L, 4626905632388042101L);
+    (100, 1.0, 4622943692342319814L, 4622943692342319806L);
+    (100, 5.0, 4624285629779184524L, 4624285629779184526L);
+    (100, 20.0, 4626905632388042100L, 4626905632388042101L);
   ]
 
 let gains_pinned () =
   Dpm_cache.Solve_cache.with_capacity 0 @@ fun () ->
   List.iter
-    (fun (q, weight, expected) ->
+    (fun (q, weight, dense, band) ->
       let sys = Test_util.paper_at_capacity q in
       let sol = Dpm_core.Optimize.solve ~weight sys in
-      if not (Int64.equal (bits sol.gain) expected) then
-        Alcotest.failf "Q = %d, w = %g: gain %.17g (bits %Ld), pinned %.17g" q
-          weight sol.gain (bits sol.gain) (Int64.float_of_bits expected))
+      let m = Dpm_core.Sys_model.to_ctmdp sys ~weight in
+      let g = dense_gain m (Dpm_ctmdp.Policy.of_actions m sol.Dpm_core.Optimize.actions) in
+      let pinned = Int64.float_of_bits dense in
+      if not (Int64.equal (bits g) dense) then
+        Alcotest.failf "Q = %d, w = %g: dense gain %.17g (bits %Ld), pinned %.17g"
+          q weight g (bits g) pinned;
+      let gap = Float.abs (sol.gain -. pinned) /. Float.abs pinned in
+      if gap > 1e-14 then
+        Alcotest.failf "Q = %d, w = %g: solver gain %.17g is %g from %.17g" q
+          weight sol.gain gap pinned;
+      if not (Int64.equal (bits sol.gain) band) then
+        Alcotest.failf "Q = %d, w = %g: solver gain %.17g (bits %Ld), pinned %.17g"
+          q weight sol.gain (bits sol.gain) (Int64.float_of_bits band))
     pinned_gains
 
 let suite =

@@ -250,9 +250,7 @@ let iterative_domains_bit_identical () =
      the Dpm_par determinism contract.  Cache capacity 0 so every
      domain count really solves. *)
   let sys = Test_util.paper_at_capacity 50 in
-  (* Weights from 1 up: at w=0.1 policy iteration cycles on this
-     system (a known defect of the improvement step). *)
-  let weights = [| 1.0; 2.0; 5.0; 10.0; 20.0; 50.0 |] in
+  let weights = [| 0.1; 1.0; 2.0; 5.0; 10.0; 20.0; 50.0 |] in
   let run d =
     Dpm_cache.Solve_cache.with_capacity 0 @@ fun () ->
     Array.map Test_util.strip_provenance

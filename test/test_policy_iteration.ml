@@ -336,8 +336,49 @@ let solve_deadline_covers_iterative_eval () =
   Alcotest.(check int) "no fallback taken" 0
     (Test_util.counter reg "policy_iteration.sparse_fallbacks")
 
+(* The paper-SP instance on which policy iteration used to cycle until
+   its 1000-iteration cap (the design-sweep benchmark's "known defect"
+   line).  It converges, to the gain GTH gives its policy, and as the
+   self-switch rate M grows the gain moves as 1/M: monotone, each
+   step a tenth of the one before. *)
+let big_m_instance_converges () =
+  let gain_at m_rate =
+    let sys =
+      Dpm_core.Sys_model.create ~self_switch_rate:m_rate
+        ~sp:(Dpm_core.Paper_instance.service_provider ())
+        ~queue_capacity:12 ~arrival_rate:0.15219046446687456 ()
+    in
+    let m = Dpm_core.Sys_model.to_ctmdp sys ~weight:0.19722228378263976 in
+    let r = Policy_iteration.solve m in
+    let actions = Policy.actions m r.Policy_iteration.policy in
+    let stationary = Dpm_scenario.Solve.stationary_gain m ~actions in
+    Test_util.check_relative ~rel:1e-9
+      (Printf.sprintf "M = %g: PI gain against GTH" m_rate)
+      stationary r.Policy_iteration.gain;
+    r.Policy_iteration.gain
+  in
+  let gains = List.map gain_at [ 1e5; 1e6; 1e7; 1e8 ] in
+  let steps =
+    List.map2 ( -. )
+      (List.filteri (fun k _ -> k < 3) gains)
+      (List.tl gains)
+  in
+  List.iter
+    (fun d -> if d <= 0.0 then Alcotest.failf "gain rose with M (step %g)" d)
+    steps;
+  List.iter2
+    (fun d d' ->
+      let ratio = d /. d' in
+      if ratio < 8.0 || ratio > 12.0 then
+        Alcotest.failf "steps %g, %g are not a 1/M sequence (ratio %g)" d d'
+          ratio)
+    (List.filteri (fun k _ -> k < 2) steps)
+    (List.tl steps)
+
 let suite =
   [
+    t "big-M cycling instance converges, gain moves as 1/M" `Quick
+      big_m_instance_converges;
     t "evaluation hand-checked" `Quick evaluation_matches_hand_solution;
     t "guard reaches evaluation sweeps" `Quick guard_reaches_evaluation_sweeps;
     t "unreachable reference counted by reason" `Quick

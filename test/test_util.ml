@@ -85,3 +85,25 @@ let counter reg name =
   match Dpm_obs.Metrics.find reg name with
   | Some (Dpm_obs.Metrics.Counter_value n) -> n
   | _ -> 0
+
+(* The relative-value system of policy [p] in natural order, dense:
+   unknown [j <> 0] is the bias of state [j], unknown 0 the gain (the
+   reference state 0's bias is pinned to 0).  The assembly the dense
+   kernels evaluated before band storage, kept as a reference. *)
+let dense_pi_system m p =
+  let open Dpm_ctmdp in
+  let open Dpm_linalg in
+  let n = Model.num_states m in
+  let a = Matrix.create n n and b = Vec.create n in
+  for i = 0 to n - 1 do
+    let c = Model.choice m i (Policy.choice_index p i) in
+    b.(i) <- -.c.Model.cost;
+    if i <> 0 then
+      Matrix.set a i i
+        (-.List.fold_left (fun acc (_, r) -> acc +. r) 0.0 c.Model.rates);
+    List.iter
+      (fun (j, r) -> if j <> 0 then Matrix.update a i j (fun x -> x +. r))
+      c.Model.rates;
+    Matrix.set a i 0 (-1.0)
+  done;
+  (a, b)

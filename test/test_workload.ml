@@ -115,6 +115,57 @@ let trace_replay () =
   Test_util.check_raises_invalid "non-increasing trace" (fun () ->
       ignore (Workload.trace [ 2.0; 1.0 ]))
 
+(* [t <= prev] is false for NaN, so non-finite times need their own
+   check; a gap list whose sum overflows reaches it through
+   [of_intervals]. *)
+let trace_rejects_non_finite () =
+  List.iter
+    (fun (label, times) ->
+      Test_util.check_raises_invalid label (fun () ->
+          ignore (Workload.trace times)))
+    [
+      ("nan", [ 1.0; Float.nan; 3.0 ]);
+      ("leading nan", [ Float.nan ]);
+      ("inf", [ 1.0; Float.infinity ]);
+      ("-inf", [ Float.neg_infinity; 1.0 ]);
+    ];
+  List.iter
+    (fun (label, gaps) ->
+      Test_util.check_raises_invalid label (fun () ->
+          ignore (Workload.of_intervals gaps)))
+    [
+      ("nan gap", [ 1.0; Float.nan ]);
+      ("inf gap", [ Float.infinity ]);
+      ("-inf gap", [ Float.neg_infinity ]);
+      ("overflowing gaps", [ Float.max_float; Float.max_float ]);
+    ]
+
+let load_trace_rejects_non_finite () =
+  let load ~intervals line =
+    let path = Filename.temp_file "dpm_trace" ".txt" in
+    Fun.protect
+      ~finally:(fun () -> Sys.remove path)
+      (fun () ->
+        Out_channel.with_open_text path (fun oc ->
+            output_string oc ("1.0\n" ^ line ^ "\n"));
+        Workload.load_trace ~intervals path)
+  in
+  List.iter
+    (fun intervals ->
+      List.iter
+        (fun line ->
+          match load ~intervals line with
+          | Error _ -> ()
+          | Ok _ ->
+              Alcotest.failf "%s line %S was accepted"
+                (if intervals then "intervals" else "trace")
+                line)
+        [ "nan"; "inf"; "-inf" ])
+    [ false; true ];
+  match load ~intervals:false "2.0" with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "a finite trace was refused: %s" e
+
 let mean_rate_hints () =
   Test_util.check_close "poisson hint" 0.5
     (Workload.mean_rate_hint (Workload.poisson ~rate:0.5));
@@ -138,6 +189,10 @@ let suite =
     t "mmpp long-run rate" `Slow mmpp_mean_rate_between_phases;
     t "mmpp burstiness" `Slow mmpp_burstier_than_poisson;
     t "trace replay" `Quick trace_replay;
+    t "trace and of_intervals reject non-finite times" `Quick
+      trace_rejects_non_finite;
+    t "load_trace refuses nan and infinity lines" `Quick
+      load_trace_rejects_non_finite;
     t "mean rate hints" `Quick mean_rate_hints;
     t "determinism" `Quick determinism;
   ]

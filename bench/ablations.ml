@@ -22,15 +22,15 @@ let grid_rows f xs = Dpm_par.parallel_map_list f xs
 
 (* ------------------------------------------------------------------ *)
 (* Steady-state solver comparison on the closed-loop paper chain at
-   growing queue capacities: GTH vs LU vs sparse Gauss-Seidel. *)
+   growing queue capacities: classified banded GTH vs LU. *)
 
 let solvers () =
   header
-    "ABL1  Steady-state solvers: classify+GTH (solve) vs LU vs Gauss-Seidel\n\
+    "ABL1  Steady-state solvers: classify+GTH (solve) vs LU\n\
      (policy-induced chains have transient states, so raw GTH is not\n\
      applicable; 'solve' isolates the closed class first)";
-  Printf.printf "%6s %6s | %10s %10s %10s | %12s %12s\n" "Q" "|X|"
-    "t_solve(ms)" "t_lu(ms)" "t_gs(ms)" "solve-lu" "gs residual";
+  Printf.printf "%6s %6s | %10s %10s | %12s\n" "Q" "|X|" "t_solve(ms)"
+    "t_lu(ms)" "solve-lu";
   grid_rows
     (fun q ->
       let sys =
@@ -41,13 +41,11 @@ let solvers () =
       let g = Sys_model.generator_of_actions sys ~actions:(Policies.n_policy sys ~n:(max 1 (q / 2))) in
       let p_solve, t_solve = time_it (fun () -> Steady_state.solve g) in
       let p_lu, t_lu = time_it (fun () -> Steady_state.lu_solve g) in
-      let r_gs, t_gs = time_it (fun () -> Steady_state.iterative ~tol:1e-12 g) in
-      (q, Sys_model.num_states sys, t_solve, t_lu, t_gs,
-       Vec.norm_inf (Vec.sub p_solve p_lu), r_gs.Iterative.residual))
+      (q, Sys_model.num_states sys, t_solve, t_lu, Vec.norm_inf (Vec.sub p_solve p_lu)))
     [ 5; 10; 20; 40; 80 ]
-  |> List.iter (fun (q, n, t_solve, t_lu, t_gs, diff, res) ->
-         Printf.printf "%6d %6d | %10.2f %10.2f %10.2f | %12.2e %12.2e\n" q n
-           (1e3 *. t_solve) (1e3 *. t_lu) (1e3 *. t_gs) diff res)
+  |> List.iter (fun (q, n, t_solve, t_lu, diff) ->
+         Printf.printf "%6d %6d | %10.2f %10.2f | %12.2e\n" q n (1e3 *. t_solve)
+           (1e3 *. t_lu) diff)
 
 (* ------------------------------------------------------------------ *)
 (* The lazy Kronecker operator, expanded, vs the direct enumerative

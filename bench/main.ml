@@ -11,8 +11,8 @@
    [--domains N] (or DPM_DOMAINS) runs the experiment grids on an
    N-domain pool — results are identical, only wall clock changes.
 
-   The scaling, cache, adapt, fleet and scenarios sections end in a
-   gate.  Every requested section runs; then each failed gate is named
+   The scaling, kron, cache, adapt, fleet and scenarios sections end in
+   a gate.  Every requested section runs; then each failed gate is named
    on stderr and the process exits 1.  Every run writes its metrics to
    bench_metrics.json in the current directory. *)
 
@@ -174,7 +174,7 @@ let sections =
     ("ablations", ungated Ablations.all);
     ("extensions", ungated Extensions.all);
     ("scaling", Scaling.all);
-    ("kron", ungated Scaling.kron);
+    ("kron", Scaling.kron);
     ("cache", Cache.all);
     ("adapt", Adapt.all);
     ("fleet", Fleet.all);

@@ -68,139 +68,67 @@ let run_workload ~name ~items f =
     Printf.printf "FAIL: %s results differ across domain counts\n" name;
   !all_identical
 
-(* --- implicit operator vs materialized CSR ------------------------ *)
+(* --- stationary solve ladder --------------------------------------- *)
 
-(* State-space scaling of the stationary solve: the same paper SP at
-   growing queue capacities, solved through the materialized pipeline
-   (generator_of_actions -> Generator.to_sparse -> CSR Gauss-Seidel)
-   and through the lazy Kronecker operator (Sys_model.operator ->
-   Operator.gauss_seidel_steady), both at the same tolerance.  Each
-   path climbs a doubling capacity ladder until one solve exceeds the
-   per-solve time budget; the headline series is how much deeper the
-   implicit path gets on the same budget.
+(* State-space scaling of the stationary solve: the paper SP under the
+   uniform active command at doubling queue capacities, solved by
+   Steady_state.solve (classification, then banded GTH in reverse
+   Cuthill-McKee order).  The climb stops at the first solve over the
+   per-solve budget, or at the capacity cap, which bounds the memory
+   the materialized generator takes.  Every rung is checked — p >= 0,
+   sum p = 1 and a balance residual |pG|_inf of at most 1e-9 times the
+   largest exit rate — and a failed check fails the section's gate.
 
    Gauges land in bench_metrics.json under bench.scaling.kron.*:
-     bench.scaling.kron.q<Q>.<path>.seconds
-     bench.scaling.kron.q<Q>.<path>.iterations
-     bench.scaling.kron.q<Q>.speedup          (sparse time / implicit time)
-     bench.scaling.kron.q<Q>.nnz              (CSR nonzeros, materialized)
-     bench.scaling.kron.q<Q>.stored_floats    (operator factor storage)
-     bench.scaling.kron.max_q.<path>          (deepest Q within budget)
-     bench.scaling.kron.capacity_speedup      (max_q implicit / sparse)
-     bench.scaling.kron.agreement_norm_inf    (pi difference at base Q) *)
+     bench.scaling.kron.q<Q>.seconds
+     bench.scaling.kron.q<Q>.residual   (|pG|_inf / max exit rate)
+     bench.scaling.kron.max_q           (deepest Q within budget) *)
 
 let budget_s = 1.0
 let base_q = 250
-let hard_cap_q = 1 lsl 21 (* runaway backstop, ~8.4M states *)
+let hard_cap_q = 1 lsl 15 (* 131k states *)
 
 let sys_at q =
   Sys_model.create
     ~sp:(Paper_instance.service_provider ())
     ~queue_capacity:q ~arrival_rate:Paper_instance.arrival_rate ()
 
-let solve_sparse sys =
-  let g =
-    Sys_model.generator_of_actions sys ~actions:(fun _ -> Paper_instance.active)
-  in
-  Dpm_linalg.Iterative.gauss_seidel_steady (Dpm_ctmc.Generator.to_sparse g)
-
-let solve_implicit sys =
-  Dpm_ctmc.Steady_state.implicit
-    ~init:(Sys_model.stationary_hint sys ~action:Paper_instance.active)
-    ~order:(Sys_model.sweep_order sys)
-    (Sys_model.operator sys ~action:Paper_instance.active)
-
-(* Climb the doubling ladder; returns (max_q, per-Q times).  A rung is
-   recorded even when it blows the budget (it is the evidence), but
-   the climb stops there. *)
-let climb name solve =
-  let rec go q acc =
-    let sys = sys_at q in
-    let r, t = time_it (fun () -> solve sys) in
-    let times =
-      (q, t, r.Dpm_linalg.Iterative.iterations, r.Dpm_linalg.Iterative.converged)
-      :: acc
-    in
-    if t <= budget_s && 2 * q <= hard_cap_q then go (2 * q) times
-    else (q, List.rev times)
-  in
-  let _, times = go base_q [] in
-  let max_q =
-    (* The deepest rung *within* budget; the over-budget probe rung
-       does not count toward capacity. *)
-    List.fold_left
-      (fun best (q, t, _, converged) ->
-        if t <= budget_s && converged then max best q else best)
-      0 times
-  in
-  Dpm_obs.Probe.set (Printf.sprintf "bench.scaling.kron.max_q.%s" name)
-    (float_of_int max_q);
-  (max_q, times)
-
 let kron () =
   header
     (Printf.sprintf
-       "SCALING  implicit Kronecker operator vs materialized CSR\n\
-        stationary solve of the paper SP under the uniform active \
-        command,\n\
-        doubling queue capacity from %d, %.1f s budget per solve" base_q
-       budget_s);
-  (* Cross-check once at the base capacity before timing anything. *)
-  let sys0 = sys_at base_q in
-  let p_sparse = (solve_sparse sys0).Dpm_linalg.Iterative.solution in
-  let p_implicit = (solve_implicit sys0).Dpm_linalg.Iterative.solution in
-  let agreement =
-    Dpm_linalg.Vec.norm_inf (Dpm_linalg.Vec.sub p_sparse p_implicit)
+       "SCALING  stationary solve (classify + banded GTH) of the paper SP\n\
+        under the uniform active command, doubling queue capacity from %d\n\
+        to at most %d, %.1f s budget per solve" base_q hard_cap_q budget_s);
+  Printf.printf "%8s %10s | %12s %14s\n" "Q" "states" "t (s)" "residual/rate";
+  let rec climb q max_q =
+    let sys = sys_at q in
+    let g =
+      Sys_model.generator_of_actions sys ~actions:(fun _ -> Paper_instance.active)
+    in
+    let p, t = time_it (fun () -> Dpm_ctmc.Steady_state.solve g) in
+    let residual =
+      Dpm_ctmc.Steady_state.residual g p
+      /. Dpm_ctmc.Generator.uniformization_rate g
+    in
+    let ok =
+      Array.for_all (fun x -> x >= 0.0) p
+      && Float.abs (Dpm_linalg.Vec.sum p -. 1.0) <= 1e-9
+      && residual <= 1e-9
+    in
+    let tag k = Printf.sprintf "bench.scaling.kron.q%d.%s" q k in
+    Dpm_obs.Probe.set (tag "seconds") t;
+    Dpm_obs.Probe.set (tag "residual") residual;
+    Printf.printf "%8d %10d | %12.4f %14.2e\n" q (Sys_model.num_states sys) t
+      residual;
+    let max_q = if t <= budget_s && ok then q else max_q in
+    if not ok then Printf.printf "FAIL: stationary solve at Q=%d\n" q;
+    if ok && t <= budget_s && 2 * q <= hard_cap_q then climb (2 * q) max_q
+    else (max_q, ok)
   in
-  Dpm_obs.Probe.set "bench.scaling.kron.agreement_norm_inf" agreement;
-  Printf.printf "agreement at Q=%d: |pi_sparse - pi_implicit|_inf = %.3g\n\n"
-    base_q agreement;
-  let max_sparse, sparse_times = climb "sparse" solve_sparse in
-  let max_implicit, implicit_times = climb "implicit" solve_implicit in
-  Printf.printf "%-10s %8s | %12s %12s %7s %9s %12s %14s\n" "path" "Q" "states"
-    "t (s)" "iters" "speedup" "csr nnz" "stored floats";
-  let sparse_at q =
-    List.find_map
-      (fun (q', t, _, _) -> if q' = q then Some t else None)
-      sparse_times
-  in
-  let report name times =
-    List.iter
-      (fun (q, t, iters, converged) ->
-        let sys = sys_at q in
-        let op = Sys_model.operator sys ~action:Paper_instance.active in
-        let stored = Dpm_linalg.Operator.stored_floats op in
-        let nnz = Dpm_linalg.Operator.materialized_nnz op in
-        let tag k = Printf.sprintf "bench.scaling.kron.q%d.%s" q k in
-        Dpm_obs.Probe.set (tag (name ^ ".seconds")) t;
-        Dpm_obs.Probe.set (tag (name ^ ".iterations")) (float_of_int iters);
-        Dpm_obs.Probe.set (tag "nnz") (float_of_int nnz);
-        Dpm_obs.Probe.set (tag "stored_floats") (float_of_int stored);
-        let speedup =
-          if name = "implicit" then
-            match sparse_at q with
-            | Some ts when t > 0.0 ->
-                let s = ts /. t in
-                Dpm_obs.Probe.set (tag "speedup") s;
-                Printf.sprintf "%8.2fx" s
-            | _ -> Printf.sprintf "%9s" "-"
-          else Printf.sprintf "%9s" "-"
-        in
-        Printf.printf "%-10s %8d | %12d %12.3f %7d %s %12d %14d%s\n" name q
-          (Sys_model.num_states sys) t iters speedup nnz stored
-          (if converged then "" else "  (no convergence)"))
-      times
-  in
-  report "sparse" sparse_times;
-  report "implicit" implicit_times;
-  let capacity_speedup =
-    if max_sparse > 0 then float_of_int max_implicit /. float_of_int max_sparse
-    else 0.0
-  in
-  Dpm_obs.Probe.set "bench.scaling.kron.capacity_speedup" capacity_speedup;
-  Printf.printf
-    "\nmax Q within %.1f s: sparse %d, implicit %d  (capacity speedup %.1fx)\n"
-    budget_s max_sparse max_implicit capacity_speedup
+  let max_q, ok = climb base_q 0 in
+  Dpm_obs.Probe.set "bench.scaling.kron.max_q" (float_of_int max_q);
+  Printf.printf "\nmax Q within %.1f s: %d\n" budget_s max_q;
+  ok
 
 let all () =
   header

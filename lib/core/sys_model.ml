@@ -282,70 +282,6 @@ let operator sys ~action =
   done;
   Operator.sum off (Operator.diag d)
 
-(* Queue-level-major update order for Gauss-Seidel sweeps: descending
-   levels, each level's stable states followed by the transfer states
-   that drain {e into the level below} it.  Probability flows down the
-   queue as Stable(s,i) -service-> Transfer(s,i) -resolve->
-   Stable(a,i-1); in flat index order those three states live in
-   different regions (stables are mode-major, transfers sit after all
-   stables), so an index-order sweep moves a draining cascade one
-   level per iteration.  This order chains the whole cascade inside a
-   single sweep; its reverse (the backward half of a symmetric sweep)
-   chains the arrival cascade the same way. *)
-let sweep_order sys =
-  let order = Array.make (num_states sys) 0 in
-  let k = ref 0 in
-  let push x =
-    order.(!k) <- index sys x;
-    incr k
-  in
-  for i = sys.queue_capacity downto 1 do
-    for s = 0 to num_modes sys - 1 do
-      push (Stable (s, i))
-    done;
-    Array.iter (fun s -> push (Transfer (s, i))) sys.active
-  done;
-  for s = 0 to num_modes sys - 1 do
-    push (Stable (s, 0))
-  done;
-  order
-
-(* The closed-loop queue under a uniform command is a birth-death
-   process in the queue coordinate (arrivals at lambda, departures at
-   mu(action)), so its marginal is geometric with ratio
-   rho = lambda / mu.  A Gauss-Seidel iterate started from this
-   product-form profile only has to correct the O(1)-level coupling
-   with the transfer states, whereas the uniform 1/n start plants
-   mass in the far tail that a sweep front drains one batch of levels
-   at a time — iteration counts then grow linearly with Q (measured
-   by the kron scaling bench). *)
-let stationary_hint sys ~action =
-  let n = num_states sys in
-  let q = sys.queue_capacity in
-  let p = Vec.create n in
-  let mu = Service_provider.service_rate sys.sp action in
-  let rho = if mu > 0.0 then sys.arrival_rate /. mu else infinity in
-  if rho <= 1.0 then begin
-    (* Underloaded: mass decays geometrically from the empty queue.
-       Underflow to zero deep in the tail is fine — the tail really
-       does hold no mass at machine precision. *)
-    let w = ref 1.0 in
-    for i = 0 to q do
-      p.(index sys (Stable (action, i))) <- !w;
-      w := !w *. rho
-    done
-  end
-  else begin
-    (* Overloaded (or no service): mass piles up at the full queue;
-       fill the profile from the top down with the reciprocal ratio. *)
-    let w = ref 1.0 in
-    for i = q downto 0 do
-      p.(index sys (Stable (action, i))) <- !w;
-      w := !w /. rho
-    done
-  end;
-  Vec.normalize1 p
-
 let pp_state sys ppf = function
   | Stable (s, i) ->
       Format.fprintf ppf "(%s, q%d)" (Service_provider.name sys.sp s) i

@@ -143,33 +143,5 @@ val operator : t -> action:int -> Operator.t
     command, where the exit rates are summed in another order (pinned
     by tests at 1e-12). *)
 
-val sweep_order : t -> int array
-(** [sweep_order sys] is the queue-level-major row permutation for
-    {!Dpm_linalg.Operator.gauss_seidel_steady}'s [?order]: descending
-    queue levels, each level's stable states followed by its transfer
-    states, so both probability cascades (service/resolution draining
-    down, arrivals climbing up) chain through a whole symmetric sweep
-    instead of advancing one level per iteration.  Combined with the
-    {!stationary_hint} starting iterate, the implicit stationary
-    solve's iteration count is independent of the queue capacity
-    (measured by the [kron] scaling bench); the flat index order
-    degrades linearly. *)
-
-val stationary_hint : t -> action:int -> Vec.t
-(** [stationary_hint sys ~action] is a product-form guess at the
-    stationary distribution under the uniform command [action],
-    derived from the Kronecker factors alone: the queue coordinate of
-    the closed loop is a birth-death chain (arrivals at [lambda],
-    departures at [mu(action)]), so the guess places a geometric
-    profile with ratio [rho = lambda / mu] on the commanded mode's
-    stable states — decaying from the empty queue when [rho <= 1],
-    piling up at the full queue otherwise (including [mu = 0]) — and
-    nothing on the other states.  Pass it as the [?init] of
-    {!Dpm_ctmc.Steady_state.implicit}: starting from this profile the
-    sweeps only repair O(1)-level couplings, so the iteration count
-    is independent of [Q], where the uniform default start pays a
-    transient proportional to [Q] to drain its tail mass (measured by
-    the [kron] scaling bench). *)
-
 val pp_state : t -> Format.formatter -> state -> unit
 (** E.g. [(active, q2)] or [(active, q3>2)]. *)

@@ -58,8 +58,8 @@ val to_sparse : t -> Sparse.t
 (** Sparse copy of the full generator (with diagonal). *)
 
 val is_dense_backed : t -> bool
-(** True when the generator stores a dense matrix internally (affects
-    which steady-state solver is the default). *)
+(** True when the generator stores a dense matrix internally:
+    {!of_matrix} always does, {!of_rates} up to 256 states. *)
 
 val uniformization_rate : t -> float
 (** [uniformization_rate g] is [max_i exit_rate g i], the smallest

@@ -5,38 +5,44 @@ exception Not_irreducible of string
 (* The rates of a chain as CSR rows in local state indices [0, n). *)
 type rows = { n : int; start : int array; col : int array; rate : float array }
 
-(* Rows of the states with [local.(s) >= 0], renumbered by [local].
-   The set must be closed: a rate leaving it raises [Not_irreducible]. *)
-let rows_of g ~local ~n =
-  let start = Array.make (n + 1) 0 in
-  for s = 0 to Generator.dim g - 1 do
-    let i = local.(s) in
-    if i >= 0 then
-      Generator.iter_row g s (fun j _ ->
-          if local.(j) < 0 then
-            raise
-              (Not_irreducible
-                 (Printf.sprintf "class is not closed: %d -> %d leaves it" s j));
-          start.(i + 1) <- start.(i + 1) + 1)
-  done;
-  for i = 1 to n do
-    start.(i) <- start.(i) + start.(i - 1)
-  done;
-  let col = Array.make start.(n) 0 and rate = Array.make start.(n) 0.0 in
-  let fill = Array.sub start 0 n in
-  for s = 0 to Generator.dim g - 1 do
-    let i = local.(s) in
-    if i >= 0 then
-      Generator.iter_row g s (fun j r ->
-          col.(fill.(i)) <- local.(j);
-          rate.(fill.(i)) <- r;
-          fill.(i) <- fill.(i) + 1)
-  done;
-  { n; start; col; rate }
-
+(* All of [g]'s rates, read in one pass over its rows. *)
 let all_rows g =
   let n = Generator.dim g in
-  rows_of g ~local:(Array.init n Fun.id) ~n
+  let start = Array.make (n + 1) 0 in
+  let col = ref (Array.make (4 * n) 0) and rate = ref (Array.make (4 * n) 0.0) in
+  let len = ref 0 in
+  for i = 0 to n - 1 do
+    Generator.iter_row g i (fun j r ->
+        if !len = Array.length !col then begin
+          col := Array.append !col !col;
+          rate := Array.append !rate !rate
+        end;
+        Array.unsafe_set !col !len j;
+        Array.unsafe_set !rate !len r;
+        incr len);
+    start.(i + 1) <- !len
+  done;
+  { n; start; col = !col; rate = !rate }
+
+(* The rows of the states with [local.(s) >= 0], renumbered by [local],
+   which keeps the states' order.  The set must be closed. *)
+let restrict { n; start; col; rate } ~local ~m =
+  let start' = Array.make (m + 1) 0 in
+  let len = start.(n) in
+  let col' = Array.make len 0 and rate' = Array.make len 0.0 in
+  let k = ref 0 in
+  for s = 0 to n - 1 do
+    let i = local.(s) in
+    if i >= 0 then begin
+      for e = start.(s) to start.(s + 1) - 1 do
+        col'.(!k) <- local.(col.(e));
+        rate'.(!k) <- rate.(e);
+        incr k
+      done;
+      start'.(i + 1) <- !k
+    end
+  done;
+  { n = m; start = start'; col = col'; rate = rate' }
 
 let iter_edges { n; start; col; _ } f =
   for i = 0 to n - 1 do
@@ -95,7 +101,11 @@ let gth_in ~guard { n; start; col; rate } (o : Band.ordering) =
         done
       end
     done;
-    (* Back substitution, then back to state indices. *)
+    (* Back substitution, then back to state indices.  The measure is
+       anchored at p(0) = 1, so when the first state of the order lies
+       deep in a tail the later entries outgrow the float range; past
+       2^600 the prefix is scaled by 2^-600, which is exact and leaves
+       the result bit-identical whenever it does not fire. *)
     let p = Vec.create n in
     p.(0) <- 1.0;
     for k = 1 to n - 1 do
@@ -103,7 +113,11 @@ let gth_in ~guard { n; start; col; rate } (o : Band.ordering) =
       for i = max 0 (k - b) to k - 1 do
         acc := !acc +. (p.(i) *. Array.unsafe_get a (base i + k))
       done;
-      p.(k) <- !acc
+      p.(k) <- !acc;
+      if !acc > 0x1p600 then
+        for i = 0 to k do
+          p.(i) <- p.(i) *. 0x1p-600
+        done
     done;
     Vec.normalize1 (Vec.init n (fun i -> p.(pos.(i))))
   end
@@ -126,71 +140,35 @@ let lu_solve g =
   b.(n - 1) <- 1.0;
   Lu.solve a b
 
-let iterative ?tol ?max_iter ?guard g =
-  Iterative.gauss_seidel_steady ?tol ?max_iter ?guard (Generator.to_sparse g)
-
-let implicit ?tol ?max_iter ?guard ?init ?order op =
-  Operator.gauss_seidel_steady ?tol ?max_iter ?guard ?init ?order op
-
-let solve_irreducible ?(guard = fun () -> ()) g =
-  if Generator.is_dense_backed g then gth_rcm ~guard (all_rows g)
-  else begin
-    let r = iterative ~guard g in
-    if not r.Iterative.converged then begin
-      (* Fall back on the exact path rather than return garbage; the
-         fallback is counted so operators can see sweeps failing. *)
-      Dpm_obs.Probe.incr "steady_state.gth_fallbacks";
-      gth_rcm ~guard (all_rows g)
-    end
-    else r.Iterative.solution
-  end
-
-(* Closed classes up to this size go straight to GTH, larger ones to
-   the sweeps: the size up to which [Generator.of_rates] stores a chain
-   densely, so a class gets the route [solve_irreducible] gives a
-   whole chain of its size. *)
-let exact_class_limit = 256
-
-let solve ?(check = false) ?(guard = fun () -> ()) g =
-  ignore check;
-  (* GTH (and the iterative sweeps) assume an irreducible chain, but
-     policy-induced chains routinely have transient states (states the
-     closed-loop dynamics never revisit).  Classify first: a unique
-     closed class gets solved in isolation and zero-extended; several
-     closed classes mean the limiting distribution depends on the
-     start state, which we refuse. *)
-  match Structure.recurrent_classes g with
+let solve ?(guard = fun () -> ()) g =
+  (* GTH assumes an irreducible chain, but policy-induced chains
+     routinely have transient states (states the closed-loop dynamics
+     never revisit).  Classify first: a unique closed class gets solved
+     in isolation and zero-extended; several closed classes mean the
+     limiting distribution depends on the start state, which we
+     refuse. *)
+  let rows = all_rows g in
+  let succ =
+    Array.init rows.n (fun i ->
+        Array.sub rows.col rows.start.(i) (rows.start.(i + 1) - rows.start.(i)))
+  in
+  match Structure.closed_classes succ with
   | [] -> raise (Not_irreducible "chain has no closed class")
   | [ members ] ->
-      let n = Generator.dim g in
-      let m = List.length members in
-      if m = n then solve_irreducible ~guard g
-      else begin
-        (* Local indices keep the states' order. *)
-        let local = Array.make n (-1) in
-        List.iter (fun s -> local.(s) <- 0) members;
-        let k = ref 0 in
-        for s = 0 to n - 1 do
-          if local.(s) = 0 then begin
-            local.(s) <- !k;
-            incr k
-          end
-        done;
-        let rows = rows_of g ~local ~n:m in
-        let p_sub =
-          if m <= exact_class_limit then gth_rcm ~guard rows
-          else begin
-            let rates = ref [] in
-            for i = m - 1 downto 0 do
-              for e = rows.start.(i + 1) - 1 downto rows.start.(i) do
-                rates := (i, rows.col.(e), rows.rate.(e)) :: !rates
-              done
-            done;
-            solve_irreducible ~guard (Generator.of_rates ~dim:m !rates)
-          end
-        in
-        Array.init n (fun s -> if local.(s) >= 0 then p_sub.(local.(s)) else 0.0)
-      end
+      let n = rows.n in
+      (* Local indices keep the states' order. *)
+      let local = Array.make n (-1) in
+      List.iter (fun s -> local.(s) <- 0) members;
+      let m = ref 0 in
+      for s = 0 to n - 1 do
+        if local.(s) = 0 then begin
+          local.(s) <- !m;
+          incr m
+        end
+      done;
+      let class_rows = if !m = n then rows else restrict rows ~local ~m:!m in
+      let p = gth_rcm ~guard class_rows in
+      Array.init n (fun s -> if local.(s) >= 0 then p.(local.(s)) else 0.0)
   | cs ->
       raise
         (Not_irreducible

@@ -2,20 +2,18 @@
 
     For an irreducible positive-recurrent chain, the limiting
     distribution is the unique solution of [p G = 0], [sum p = 1].
-    Three solvers are provided:
+    {!solve} is the one route every metric takes: it classifies the
+    states, then runs the Grassmann-Taksar-Heyman elimination on the
+    closed class.  GTH performs no subtractions and is therefore
+    backward stable even for the stiff generators produced by the
+    big-M self-switch rate (DESIGN.md decision 1); eliminating a state
+    fills only inside the band of the current order, so it runs on
+    band storage in a bandwidth-reducing order, O(n b{^2}) for the
+    narrow-band SYS chains at any size (decision 18).
 
-    - {!gth}: the Grassmann-Taksar-Heyman elimination, which performs
-      no subtractions and is therefore backward stable even for the
-      stiff generators produced by the big-M self-switch rate
-      (DESIGN.md decision 1).  Eliminating a state fills only inside
-      the band of the current order, so it runs on band storage;
-      {!solve} uses a bandwidth-reducing order;
-    - {!lu_solve}: replace one balance equation with the
-      normalization and solve by LU — the textbook approach;
-    - {!iterative}: sparse Gauss-Seidel for large state spaces.
-
-    [solve] picks GTH for dense-backed generators and small closed
-    classes, Gauss-Seidel for larger sparse-backed ones. *)
+    {!gth} is the same elimination in natural order on an irreducible
+    chain, and {!lu_solve} the textbook replace-one-equation LU; both
+    serve as references. *)
 
 open Dpm_linalg
 
@@ -29,7 +27,10 @@ val gth : ?guard:(unit -> unit) -> Generator.t -> Vec.t
     in the natural state order, on band storage: O(n b{^2}) time and
     O(n b) space for the half-bandwidth b of that order (b < n), and
     bit-identical to the dense n x n elimination, whose arithmetic
-    over the zeros outside the band is exact.
+    over the zeros outside the band is exact.  The back substitution
+    rescales by powers of two (exact) whenever its running measure
+    passes 2{^600}, so a first state deep in a geometric tail cannot
+    overflow it.
     [guard] (default no-op) is invoked before each elimination step
     and may raise to abort — the [Dpm_robust] deadline hook.  Exact up to
     rounding for {e irreducible} generators only — the back
@@ -43,51 +44,15 @@ val lu_solve : Generator.t -> Vec.t
     normalization row substituted.  Raises [Lu.Singular] when the
     chain has more than one closed class. *)
 
-val iterative :
-  ?tol:float ->
-  ?max_iter:int ->
-  ?guard:(unit -> unit) ->
-  Generator.t ->
-  Iterative.result
-(** [iterative g] runs sparse Gauss-Seidel sweeps (see
-    {!Dpm_linalg.Iterative.gauss_seidel_steady}). *)
-
-val implicit :
-  ?tol:float ->
-  ?max_iter:int ->
-  ?guard:(unit -> unit) ->
-  ?init:Vec.t ->
-  ?order:int array ->
-  Operator.t ->
-  Iterative.result
-(** [implicit op] runs the same stationary Gauss-Seidel sweeps
-    directly on a lazy operator (see
-    {!Dpm_linalg.Operator.gauss_seidel_steady}) — the generator is
-    never materialized, so a composed SYS from
-    [Sys_model.operator] solves in O(stored factors) memory rather
-    than O(nnz).  [op] must be a square generator (rows summing to
-    zero); agreement with {!iterative} on the materialized form is
-    pinned by tests.  [init] is the starting iterate (default
-    uniform); a structure-informed guess such as
-    [Sys_model.stationary_hint] removes the depth-proportional
-    transient that draining the uniform iterate's tail mass costs.
-    [order] is the sweep permutation — pass a flow-aligned order
-    (e.g. [Sys_model.sweep_order]) to keep the per-sweep correction
-    transport independent of the chain's depth. *)
-
-val solve : ?check:bool -> ?guard:(unit -> unit) -> Generator.t -> Vec.t
+val solve : ?guard:(unit -> unit) -> Generator.t -> Vec.t
 (** [solve g] computes the limiting distribution of any chain with a
     unique closed class: it classifies states (Tarjan), solves the
-    closed class in isolation and assigns probability zero to
-    transient states.  The closed class is solved by GTH in a reverse
-    Cuthill-McKee order, on band storage, when [g] is dense-backed or
-    the class has at most 256 states; otherwise by Gauss-Seidel with
-    that GTH as fallback (counted as [steady_state.gth_fallbacks]).
-    A class is restricted through an index array, its band filled
-    straight from [g]'s rows.  Raises {!Not_irreducible} when the
-    closed class is not unique.  [check] is kept for interface
-    stability and ignored — classification always runs.  [guard] is
-    threaded into the GTH elimination and the sweeps (see {!gth}). *)
+    closed class in isolation by GTH in a reverse Cuthill-McKee order,
+    on band storage, and assigns probability zero to transient states.
+    [g]'s rows are read once, into CSR arrays that both the
+    classification and the elimination use.  Raises {!Not_irreducible}
+    when the closed class is not unique.  [guard] is threaded into the
+    GTH elimination (see {!gth}). *)
 
 val residual : Generator.t -> Vec.t -> float
 (** [residual g p] is [norm_inf (p G)] — how well [p] balances. *)

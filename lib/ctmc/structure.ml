@@ -98,10 +98,9 @@ let reachable_from g i =
   walk [ i ];
   seen
 
-let recurrent_classes g =
-  let succ = adjacency g in
-  let classes = communicating_classes g in
-  let n = Generator.dim g in
+let closed_classes succ =
+  let n = Array.length succ in
+  let classes = tarjan_scc n succ in
   let class_of = Array.make n (-1) in
   List.iteri (fun c members -> List.iter (fun v -> class_of.(v) <- c) members) classes;
   List.filteri
@@ -110,6 +109,8 @@ let recurrent_classes g =
         (fun v -> Array.for_all (fun w -> class_of.(w) = c) succ.(v))
         members)
     classes
+
+let recurrent_classes g = closed_classes (adjacency g)
 
 let transient_states g =
   let closed = recurrent_classes g in

@@ -28,6 +28,11 @@ val recurrent_classes : Generator.t -> int list list
     these are exactly the positive-recurrent classes; states outside
     them are transient (Definition 2.3). *)
 
+val closed_classes : int array array -> int list list
+(** [closed_classes succ] is {!recurrent_classes} of the chain whose
+    state [i] has a positive rate to exactly the states [succ.(i)] —
+    for callers that already hold the transition structure. *)
+
 val transient_states : Generator.t -> int list
 (** States that belong to no closed class. *)
 

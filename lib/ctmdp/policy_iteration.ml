@@ -97,11 +97,13 @@ let evaluation_of o ~ref_state x =
   in
   { gain = x.(n - 1); bias }
 
-let evaluate ?(ref_state = 0) m p =
-  check_ref_state m ref_state;
-  let o = band_order m ~ref_state in
+let evaluate_in o ~ref_state m p =
   let a, rhs = band_system o ~ref_state m p in
   evaluation_of o ~ref_state (Band.solve a rhs)
+
+let evaluate ?(ref_state = 0) m p =
+  check_ref_state m ref_state;
+  evaluate_in (band_order m ~ref_state) ~ref_state m p
 
 (* Multichain policies (possible when the model contains several
    self-sufficient "orbits" — e.g. two active server speeds whose
@@ -567,10 +569,11 @@ let solve ?(ref_state = 0) ?(max_iter = 1000) ?init ?(guard = fun () -> ()) m
   }
 
 let brute_force m =
+  let order = band_order m ~ref_state:0 in
   let best = ref None in
   Seq.iter
     (fun p ->
-      match evaluate m p with
+      match evaluate_in order ~ref_state:0 m p with
       | { gain; _ } -> (
           match !best with
           | Some (_, g) when g <= gain -> ()

@@ -51,15 +51,6 @@ let stationary ?guard t =
   let gen = Generator.of_matrix (Operator.to_dense t.op) in
   Steady_state.solve ?guard gen
 
-let stationary_implicit ?(tol = 1e-12) ?guard t =
-  let r = Steady_state.implicit ~tol ?guard t.op in
-  if not r.Iterative.converged then
-    failwith
-      (Printf.sprintf
-         "Dpm_fleet.Joint.stationary_implicit: no convergence (residual %g)"
-         r.Iterative.residual);
-  r.Iterative.solution
-
 let server_stationary (s : Deploy.server) =
   match s.Deploy.solution with
   | Some sol -> sol.Optimize.metrics.Analytic.state_probabilities

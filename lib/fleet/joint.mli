@@ -37,12 +37,6 @@ val stationary : ?guard:(unit -> unit) -> t -> Dpm_linalg.Vec.t
     materializes the operator and runs the classified GTH solve
     ({!Dpm_ctmc.Steady_state.solve}). *)
 
-val stationary_implicit : ?tol:float -> ?guard:(unit -> unit) -> t -> Dpm_linalg.Vec.t
-(** Same distribution via matrix-free Gauss-Seidel sweeps on the
-    lazy operator ({!Dpm_ctmc.Steady_state.implicit}) — the joint
-    generator is never materialized.  Raises [Failure] when the
-    sweeps do not converge. *)
-
 val product_stationary : t -> Dpm_linalg.Vec.t
 (** The hierarchical prediction: the product of the per-server
     stationary distributions. *)

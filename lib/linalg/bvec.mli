@@ -1,9 +1,9 @@
 (** Flat [Bigarray] state vectors (float64, C layout).
 
-    The Bigarray-backed counterpart of {!Vec} for the implicit-operator
-    hot loops: unboxed storage outside the OCaml heap, so Gauss-Seidel
-    sweeps and mat-vecs over millions of states neither box floats nor
-    create GC pressure.  The type is exposed as a plain
+    The Bigarray-backed counterpart of {!Vec} for the policy-evaluation
+    and value-iteration hot loops: unboxed storage outside the OCaml
+    heap, so Gauss-Seidel sweeps over millions of states neither box
+    floats nor create GC pressure.  The type is exposed as a plain
     [Bigarray.Array1.t] so kernels can use [Array1.unsafe_get] directly
     where profiling justifies it. *)
 

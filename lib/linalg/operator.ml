@@ -1,9 +1,7 @@
 (* Lazy linear operators.  The representation is the expression tree
-   itself; every kernel below works off [iter_row], which may emit the
-   same column more than once (Kron_sum diagonals, overlapping sums) —
-   all consumers accumulate. *)
-
-open Bigarray
+   itself; [to_dense] works off [iter_row], which may emit the same
+   column more than once (Kron_sum diagonals, overlapping sums) and
+   accumulates. *)
 
 type t =
   | Dense of Matrix.t
@@ -132,30 +130,6 @@ let rec iter_row op i f =
               iter_row op' li (fun j x -> f (c0 + j) x))
         cells.(!bi)
 
-let diagonal op =
-  let n = rows op in
-  let d = Array.make n 0.0 in
-  for i = 0 to n - 1 do
-    iter_row op i (fun j x -> if j = i then d.(i) <- d.(i) +. x)
-  done;
-  d
-
-let rec transpose = function
-  | Dense m -> Dense (Matrix.transpose m)
-  | Csr s -> Csr (Sparse.transpose s)
-  | Diag d -> Diag d
-  | Kron_prod (a, b) -> Kron_prod (transpose a, transpose b)
-  | Kron_sum (a, b) -> Kron_sum (transpose a, transpose b)
-  | Sum (a, b) -> Sum (transpose a, transpose b)
-  | Blocks { row_off; col_off; cells } ->
-      let nr = Array.length cells
-      and nc = if Array.length cells = 0 then 0 else Array.length cells.(0) in
-      let cells' =
-        Array.init nc (fun bj ->
-            Array.init nr (fun bi -> Option.map transpose cells.(bi).(bj)))
-      in
-      Blocks { row_off = col_off; col_off = row_off; cells = cells' }
-
 (* --- materialization and cost accounting ---------------------------- *)
 
 let to_dense op =
@@ -198,109 +172,3 @@ let rec materialized_nnz = function
       (materialized_nnz a * rows b) + (rows a * materialized_nnz b)
   | Sum (a, b) -> materialized_nnz a + materialized_nnz b
   | Blocks { cells; _ } -> sum_cells materialized_nnz cells
-
-(* --- kernels --------------------------------------------------------- *)
-
-let count_sweeps n = Dpm_obs.Probe.add "operator.sweeps" n
-
-(* A sweep order must visit every row exactly once. *)
-let check_order n = function
-  | None -> Array.init n (fun i -> i)
-  | Some order ->
-      if Array.length order <> n then
-        invalid_arg
-          (Printf.sprintf
-             "Operator.gauss_seidel_steady: sweep order has length %d, \
-              expected %d"
-             (Array.length order) n);
-      let seen = Array.make n false in
-      Array.iter
-        (fun i ->
-          if i < 0 || i >= n || seen.(i) then
-            invalid_arg
-              "Operator.gauss_seidel_steady: sweep order is not a permutation";
-          seen.(i) <- true)
-        order;
-      order
-
-let gauss_seidel_steady ?(tol = 1e-12) ?(max_iter = 100_000)
-    ?(guard = fun () -> ()) ?init ?order op =
-  require_square "gauss_seidel_steady" op;
-  let n = rows op in
-  let order = check_order n order in
-  let d = diagonal op in
-  Array.iteri
-    (fun i x ->
-      if x >= 0.0 then
-        invalid_arg
-          (Printf.sprintf
-             "Operator.gauss_seidel_steady: nonnegative diagonal at row %d" i))
-    d;
-  (* Column access = rows of the structural transpose; stays lazy. *)
-  let tr = transpose op in
-  let p =
-    match init with
-    | Some v ->
-        if Vec.dim v <> n then
-          invalid_arg "Operator.gauss_seidel_steady: init dimension mismatch";
-        Bvec.of_vec v
-    | None -> Bvec.make n (1.0 /. float_of_int n)
-  in
-  let normalize () =
-    let s = Bvec.sum p in
-    if s = 0.0 || not (Float.is_finite s) then
-      invalid_arg
-        "Operator.gauss_seidel_steady: iterate sum is zero or not finite";
-    Bvec.scale_inplace (1.0 /. s) p
-  in
-  normalize ();
-  let prev = Bvec.create n in
-  let acc = ref 0.0 in
-  let f i a = acc := !acc +. (a *. Array1.unsafe_get p i) in
-  let update j =
-    let pj = Array1.unsafe_get p j in
-    acc := 0.0;
-    iter_row tr j f;
-    let inflow = !acc -. (Array.unsafe_get d j *. pj) in
-    Array1.unsafe_set p j (inflow /. -.Array.unsafe_get d j)
-  in
-  let iterations = ref 0 and change = ref infinity in
-  while !change > tol && !iterations < max_iter do
-    guard ();
-    Bvec.blit ~src:p ~dst:prev;
-    (* Symmetric sweep along [order], forward then backward.  On the
-       birth-death-like chains the Kronecker compositions produce,
-       probability cascades one position per sweep against the update
-       order; sweeping a flow-aligned order both ways propagates each
-       cascade across the whole chain every iteration, making the
-       iteration count essentially depth-independent (the default
-       index order only helps when it is itself flow-aligned). *)
-    for k = 0 to n - 1 do
-      update (Array.unsafe_get order k)
-    done;
-    for k = n - 1 downto 0 do
-      update (Array.unsafe_get order k)
-    done;
-    normalize ();
-    let c = ref 0.0 in
-    for i = 0 to n - 1 do
-      c := !c +. Float.abs (Array1.unsafe_get p i -. Array1.unsafe_get prev i)
-    done;
-    change := !c;
-    incr iterations
-  done;
-  count_sweeps !iterations;
-  (* residual = norm_inf (p op), computed column-wise off the
-     transpose. *)
-  let residual = ref 0.0 in
-  for j = 0 to n - 1 do
-    acc := 0.0;
-    iter_row tr j f;
-    residual := Float.max !residual (Float.abs !acc)
-  done;
-  {
-    Iterative.solution = Bvec.to_vec p;
-    iterations = !iterations;
-    residual = !residual;
-    converged = !change <= tol;
-  }

@@ -2,22 +2,17 @@
     expansion.
 
     The composed SYS generator of a power-managed system is a tensor
-    expression over small SP and SQ blocks (Section III).  Every
-    materialized representation — dense [Matrix.t] or CSR [Sparse.t] —
-    pays O(nnz) storage, triplet sorting, and transposition before the
-    first sweep runs.  An {!t} instead stores the {e expression}: the
-    small factor blocks plus the combinators (Kronecker product and
-    sum, [sum], block grids), and runs Gauss-Seidel sweeps that walk
-    the Kronecker factors directly.  Storage is the sum of the factor
-    sizes (typically O(|S|{^2} + Q) against O(|S|·Q) expanded
-    nonzeros), and no per-sweep allocation occurs.
+    expression over small SP and SQ blocks (Section III).  An {!t}
+    stores the {e expression}: the small factor blocks plus the
+    combinators (Kronecker product and sum, [sum], block grids).
+    Storage is the sum of the factor sizes (typically O(|S|{^2} + Q)
+    against O(|S|·Q) expanded nonzeros).  {!to_dense} expands it — the
+    Section III tensor formula checked against the direct builders,
+    and the joint fleet generator of [Dpm_fleet.Joint].
 
     Row iteration may visit the same column more than once (e.g. the
-    diagonal of a [kron_sum], or overlapping [sum] terms); every
-    consumer in this module {e accumulates} contributions.
-
-    Probe counter: [operator.sweeps] (Gauss-Seidel sweeps executed by
-    {!gauss_seidel_steady}). *)
+    diagonal of a [kron_sum], or overlapping [sum] terms); the
+    expansion {e accumulates} contributions. *)
 
 type t
 (** A lazy linear operator over flat float64 state vectors. *)
@@ -69,38 +64,6 @@ val blocks : row_dims:int array -> col_dims:int array -> t option array array ->
 
 val rows : t -> int
 (** Number of rows. *)
-
-(** {1 Stationary solve} *)
-
-val gauss_seidel_steady :
-  ?tol:float ->
-  ?max_iter:int ->
-  ?guard:(unit -> unit) ->
-  ?init:Vec.t ->
-  ?order:int array ->
-  t ->
-  Iterative.result
-(** [gauss_seidel_steady op] solves [p op = 0], [sum p = 1] for the
-    stationary row vector of a generator presented implicitly — the
-    matrix-free counterpart of {!Iterative.gauss_seidel_steady} (same
-    defaults and result record; [tol] bounds the L1 change of the
-    normalized iterate between sweeps, [guard] is invoked before each
-    sweep).  Column access comes from the {e structural} transpose
-    (factors transposed, combinators kept), so the solve stays lazy.
-    The operator must be square with strictly negative accumulated
-    diagonal ([Invalid_argument] otherwise).
-
-    One iteration is a {e symmetric} sweep: every row along [order]
-    (default: index order; must be a permutation, [Invalid_argument]
-    otherwise), then the same rows in reverse.  Gauss-Seidel moves
-    probability one update-position per sweep against the update
-    order, so on chains with long directional cascades (a queue
-    draining through interleaved transfer states) the iteration count
-    is governed by how well [order] aligns with the flow: a
-    flow-aligned order (e.g. [Sys_model.sweep_order], which follows
-    the queue coordinate of the Kronecker structure) makes the count
-    essentially depth-independent, while a misaligned one degrades to
-    one position per iteration. *)
 
 (** {1 Materialization and cost accounting} *)
 

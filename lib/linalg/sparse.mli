@@ -17,9 +17,8 @@ val of_triplets : rows:int -> cols:int -> triplet list -> t
 (** [of_triplets ~rows ~cols ts] builds a CSR matrix.  Triplets with
     out-of-range coordinates raise [Invalid_argument]; duplicates are
     summed; entries that sum to exactly [0.] are kept out of the
-    structure — they contribute neither to {!nnz} nor to {!iter_row},
-    an invariant the implicit-operator fallback paths rely on (pinned
-    by a regression test). *)
+    structure — they contribute neither to {!nnz} nor to {!iter_row}
+    (pinned by a regression test). *)
 
 val of_dense : Matrix.t -> t
 (** [of_dense m] keeps the nonzero entries of [m]. *)
@@ -63,8 +62,7 @@ val transpose : t -> t
 
 val mul_vec : t -> Vec.t -> Vec.t
 (** [mul_vec s v] is [s v] (allocates the result; see
-    {!mul_vec_into} for the allocation-free form used in sweep inner
-    loops). *)
+    {!mul_vec_into} for the allocation-free form). *)
 
 val mul_vec_into : t -> Vec.t -> dst:Vec.t -> unit
 (** [mul_vec_into s v ~dst] stores [s v] in [dst] without allocating.

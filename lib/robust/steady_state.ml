@@ -18,8 +18,8 @@ let solve_r ?deadline_s ?faults g =
         Dpm_ctmc.Steady_state.solve ~guard g)
   in
   let* () = Guard.check_finite_vec ~site:"steady_state.distribution" p in
-  (* Exact-residual re-verification: one mat-vec, catches a fallback
-     chain (sweeps -> GTH) that "succeeded" into garbage. *)
+  (* Exact-residual re-verification: one mat-vec, catches an
+     elimination that "succeeded" into garbage. *)
   let residual = Dpm_ctmc.Steady_state.residual g p in
   let scale = Float.max 1.0 (Dpm_ctmc.Generator.uniformization_rate g) in
   if residual <= 1e-7 *. scale then Ok p

@@ -167,20 +167,6 @@ let prop_hierarchical_matches_joint =
       in
       linf <= 1e-6 && gains && marginals_ok)
 
-let joint_implicit_agrees () =
-  (* The lazy-operator Gauss-Seidel path must reproduce the dense GTH
-     stationary on a deterministic 2-server paper fleet. *)
-  let spec = two_group_spec ~count_a:1 ~count_b:1 ~min_active:2 () in
-  let d = Deploy.resolve ~domains:1 spec ~total_rate:0.4 ~active:2 in
-  Alcotest.(check int) "no failures" 0 (List.length d.Deploy.failures);
-  let j = Joint.build d in
-  let pi = Joint.stationary j in
-  let pi' = Joint.stationary_implicit ~tol:1e-13 j in
-  let linf = ref 0.0 in
-  Array.iteri (fun x p -> linf := Float.max !linf (Float.abs (p -. pi'.(x)))) pi;
-  if !linf > 1e-8 then
-    Alcotest.failf "implicit vs GTH joint stationary: L_inf %g" !linf
-
 (* --- domain-count bit-identity ----------------------------------- *)
 
 let cluster_domain_identity () =
@@ -486,7 +472,6 @@ let suite =
     t "spec validation and routing" `Quick spec_validation;
     prop_cluster_conservation;
     prop_hierarchical_matches_joint;
-    t "joint implicit path agrees with GTH" `Quick joint_implicit_agrees;
     t "cluster solve is domain-count bit-identical" `Quick
       cluster_domain_identity;
     t "fleet simulation is domain-count bit-identical" `Slow

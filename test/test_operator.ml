@@ -1,5 +1,6 @@
-(* Lazy linear operators: leaves, combinators, the stationary kernel,
-   and the implicit SYS generator against its materialized reference. *)
+(* Lazy linear operators: leaves, combinators, nesting inside block
+   grids, and the implicit SYS generator against its materialized
+   reference. *)
 
 open Dpm_linalg
 open Dpm_core
@@ -127,18 +128,19 @@ let blocks_and_transpose () =
     done
   done;
   check_dense_equal "blocks" expected (Operator.to_dense grid);
-  (* The stationary solve reads columns through the structural
-     transpose of every combinator.  An irreducible generator built
-     from all of them, [ sq2 (+) sq3 - D1 | C1 ; C2 | sq2 - D2 ], must
-     give the stationary vector of its dense expansion. *)
+  (* Combinators nest inside a grid: the irreducible generator
+     [ sq2 (+) sq3 - D1 | C1 ; C2 | sq2 - D2 ] must expand to the same
+     blocks built from the definitions. *)
+  let r1 = Matrix.of_arrays [| [| 1.0; 0.0 |]; [| 0.0; 2.0 |] |]
+  and ones = Matrix.of_arrays [| [| 1.0 |]; [| 1.0 |]; [| 1.0 |] |]
+  and row = Matrix.of_arrays [| [| 0.5; 0.0; 0.25 |] |] in
   let c1 =
     Operator.kron_prod
-      (Operator.dense (Matrix.of_arrays [| [| 1.0; 0.0 |]; [| 0.0; 2.0 |] |]))
-      (Operator.dense (Matrix.of_arrays [| [| 1.0 |]; [| 1.0 |]; [| 1.0 |] |]))
+      (Operator.dense r1) (Operator.dense ones)
   in
   let c2 =
     Operator.kron_prod (Operator.identity 2)
-      (Operator.csr (Sparse.of_dense (Matrix.of_arrays [| [| 0.5; 0.0; 0.25 |] |])))
+      (Operator.csr (Sparse.of_dense row))
   in
   let g =
     Operator.blocks ~row_dims:[| 6; 2 |] ~col_dims:[| 6; 2 |]
@@ -160,12 +162,21 @@ let blocks_and_transpose () =
   let dense = Operator.to_dense g in
   Test_util.check_vec ~tol:1e-12 "composite is a generator" (Vec.create 8)
     (Matrix.row_sums dense);
-  let reference = Iterative.gauss_seidel_steady (Sparse.of_dense dense) in
-  let implicit = Operator.gauss_seidel_steady g in
-  Alcotest.(check bool) "implicit converged" true implicit.Iterative.converged;
-  Alcotest.(check bool) "stationary vectors agree" true
-    (Vec.approx_equal ~tol:1e-9 reference.Iterative.solution
-       implicit.Iterative.solution)
+  let expected = Matrix.create 8 8 in
+  let place r0 c0 m =
+    for i = 0 to Matrix.rows m - 1 do
+      for j = 0 to Matrix.cols m - 1 do
+        Matrix.set expected (r0 + i) (c0 + j) (Matrix.get m i j)
+      done
+    done
+  in
+  place 0 0
+    (Matrix.sub (kron_sum_definition sq2 sq3)
+       (Matrix.diag [| 1.0; 1.0; 1.0; 2.0; 2.0; 2.0 |]));
+  place 0 6 (kron_definition r1 ones);
+  place 6 0 (kron_definition (Matrix.identity 2) row);
+  place 6 6 (Matrix.sub sq2 (Matrix.diag [| 0.75; 0.75 |]));
+  check_dense_equal "nested combinators" expected dense
 
 let count_nonzeros m =
   let n = ref 0 in
@@ -191,19 +202,6 @@ let storage_accounting () =
     (Operator.materialized_nnz ks);
   Alcotest.(check bool) "bound dominates expansion" true
     (count_nonzeros (Operator.to_dense ks) <= Operator.materialized_nnz ks)
-
-let steady_matches_iterative () =
-  let sys = Paper_instance.system () in
-  let action = Paper_instance.active in
-  let g = Sys_model.generator_of_actions sys ~actions:(fun _ -> action) in
-  let reference =
-    Iterative.gauss_seidel_steady (Dpm_ctmc.Generator.to_sparse g)
-  in
-  let implicit = Operator.gauss_seidel_steady (Sys_model.operator sys ~action) in
-  Alcotest.(check bool) "implicit converged" true implicit.Iterative.converged;
-  Alcotest.(check bool) "stationary vectors agree" true
-    (Vec.approx_equal ~tol:1e-9 reference.Iterative.solution
-       implicit.Iterative.solution)
 
 (* Two active modes: the shape the lazy form must handle beyond the
    paper's single-active SP. *)
@@ -241,8 +239,6 @@ let suite =
     prop_kron_definition;
     Alcotest.test_case "blocks and transpose" `Quick blocks_and_transpose;
     Alcotest.test_case "storage accounting" `Quick storage_accounting;
-    Alcotest.test_case "steady state matches Iterative" `Quick
-      steady_matches_iterative;
     Alcotest.test_case "SYS operator = uniform generator" `Quick
       sys_operator_matches_uniform_generator;
   ]

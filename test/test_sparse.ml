@@ -56,11 +56,10 @@ let algebra () =
   Test_util.check_vec "row_sums" [| 2.0; -1.0; 5.0 |] (Sparse.row_sums s)
 
 let zero_sum_dropping_regression () =
-  (* Pins the of_triplets invariant the implicit-operator fallback
-     paths rely on (see Sparse.of_triplets doc): duplicate triplets
-     that cancel to exactly 0. leave no stored entry — not a stored
-     explicit zero — so nnz, iter_row and row_sums all agree that the
-     coordinate is structurally absent. *)
+  (* Pins the of_triplets invariant (see Sparse.of_triplets doc):
+     duplicate triplets that cancel to exactly 0. leave no stored
+     entry — not a stored explicit zero — so nnz, iter_row and
+     row_sums all agree that the coordinate is structurally absent. *)
   let s =
     Sparse.of_triplets ~rows:3 ~cols:3
       [
@@ -87,7 +86,7 @@ let mul_vec_into_matches () =
   let dst = Vec.create 3 in
   Sparse.mul_vec_into s v ~dst;
   (* Bitwise, not approximate: the doc promises the same accumulation
-     order as mul_vec, which the Iterative sweeps rely on. *)
+     order as mul_vec. *)
   Alcotest.(check bool) "bitwise equal to mul_vec" true
     (dst = Sparse.mul_vec s v);
   Test_util.check_raises_invalid "dst dimension mismatch" (fun () ->

@@ -20,8 +20,6 @@ let two_state_closed_form () =
   let expected = [| 0.8; 0.2 |] in
   Test_util.check_vec ~tol:1e-12 "gth" expected (Steady_state.gth g);
   Test_util.check_vec ~tol:1e-12 "lu" expected (Steady_state.lu_solve g);
-  Test_util.check_vec ~tol:1e-9 "iterative" expected
-    (Steady_state.iterative g).Iterative.solution;
   Test_util.check_vec ~tol:1e-12 "solve" expected (Steady_state.solve g)
 
 let mm1k_all_solvers () =
@@ -29,9 +27,7 @@ let mm1k_all_solvers () =
   let g = birth_death n lam mu in
   let expected = mm1k_closed_form n lam mu in
   Test_util.check_vec ~tol:1e-12 "gth" expected (Steady_state.gth g);
-  Test_util.check_vec ~tol:1e-10 "lu" expected (Steady_state.lu_solve g);
-  Test_util.check_vec ~tol:1e-9 "iterative" expected
-    (Steady_state.iterative g).Iterative.solution
+  Test_util.check_vec ~tol:1e-10 "lu" expected (Steady_state.lu_solve g)
 
 let transient_states_get_zero () =
   (* 0 -> 1 <-> 2: state 0 is transient. *)
@@ -67,6 +63,53 @@ let expected_value_reads_costs () =
   let p = [| 0.25; 0.75 |] in
   Test_util.check_close "expectation" 7.5
     (Steady_state.expected_value p (fun i -> if i = 0 then 0.0 else 10.0))
+
+(* Deep chains: a 2000-state birth-death chain whose first state in the
+   elimination order sits far down a geometric tail (rho^1999 is far
+   outside the float range at either rho), checked against the closed
+   form evaluated in log space. *)
+let geometric_in_log_space n rho =
+  let lr = Float.log rho in
+  let top = if rho > 1.0 then float_of_int (n - 1) *. lr else 0.0 in
+  let w = Vec.init n (fun i -> Float.exp ((float_of_int i *. lr) -. top)) in
+  Vec.scale (1.0 /. Vec.sum w) w
+
+let deep_birth_death rho () =
+  let n = 2000 in
+  let g = birth_death n rho 1.0 in
+  let expected = geometric_in_log_space n rho in
+  List.iter
+    (fun (name, p) ->
+      let abs_err = ref 0.0 and rel_err = ref 0.0 in
+      Array.iteri
+        (fun i e ->
+          let d = Float.abs (p.(i) -. e) in
+          abs_err := Float.max !abs_err d;
+          if e >= 1e-280 then rel_err := Float.max !rel_err (d /. e))
+        expected;
+      if !abs_err > 1e-14 || !rel_err > 1e-10 then
+        Alcotest.failf "%s at rho %g: max abs error %g, max relative error %g"
+          name rho !abs_err !rel_err)
+    [ ("solve", Steady_state.solve g); ("gth", Steady_state.gth g) ]
+
+(* The paper SYS at Q = 2000 under the uniform active command: 8003
+   states, an RCM order whose first state is in the queue's tail. *)
+let deep_paper_sys () =
+  let sys =
+    Dpm_core.Sys_model.create
+      ~sp:(Dpm_core.Paper_instance.service_provider ())
+      ~queue_capacity:2000 ~arrival_rate:Dpm_core.Paper_instance.arrival_rate ()
+  in
+  let g =
+    Dpm_core.Sys_model.generator_of_actions sys ~actions:(fun _ ->
+        Dpm_core.Paper_instance.active)
+  in
+  let p = Steady_state.solve g in
+  Alcotest.(check bool) "p >= 0" true (Array.for_all (fun x -> x >= 0.0) p);
+  Test_util.check_close ~tol:1e-12 "sum p" 1.0 (Vec.sum p);
+  let bound = 1e-9 *. Generator.uniformization_rate g in
+  let r = Steady_state.residual g p in
+  if r > bound then Alcotest.failf "residual %g above %g" r bound
 
 let random_irreducible_gen =
   QCheck2.Gen.(
@@ -110,6 +153,9 @@ let suite =
     t "multichain rejected" `Quick multichain_rejected;
     t "stiff rates (GTH stability)" `Quick stiff_rates_gth_stable;
     t "expected_value" `Quick expected_value_reads_costs;
+    t "deep birth-death, rho 0.36" `Quick (deep_birth_death 0.36);
+    t "deep birth-death, rho 2.75" `Quick (deep_birth_death 2.75);
+    t "paper SYS at Q = 2000" `Quick deep_paper_sys;
     prop_gth_lu_agree;
     prop_solution_is_stationary;
     prop_time_scaling_invariance;

@@ -34,6 +34,14 @@ let perf_tests () =
       ~controller:(Dpm_sim.Controller.greedy sys)
       ~stop:(Dpm_sim.Power_sim.Requests 2_000) ()
   in
+  (* A median design-sweep op's size: the paper SP at Q = 40 (163
+     states), its model and its optimal actions at w = 1. *)
+  let sys_163 =
+    Sys_model.create ~sp:(Paper_instance.service_provider ())
+      ~queue_capacity:40 ~arrival_rate:Paper_instance.arrival_rate ()
+  in
+  let model_163 = Sys_model.to_ctmdp sys_163 ~weight:1.0 in
+  let actions_163 = (Optimize.solve ~weight:1.0 sys_163).Optimize.actions in
   (* The relative-value system of one policy evaluation on the paper
      SP at Q = 100 (403 states): the first-choice policy's generator,
      with the reference state's column carrying the gain unknown. *)
@@ -118,6 +126,13 @@ let perf_tests () =
              Dpm_linalg.Band.solve_factored
                (Dpm_linalg.Band.decompose band_a)
                band_b));
+      (* The layers around policy iteration at 163 states: the
+         pre-solve validation pass and the analytic metrics (closed-loop
+         generator plus stationary solve). *)
+      Test.make ~name:"validate/paper_163"
+        (Staged.stage (fun () -> Dpm_robust.Validate.model model_163));
+      Test.make ~name:"analytic/paper_163"
+        (Staged.stage (fun () -> Analytic.of_action_array sys_163 actions_163));
       (* FIG5 kernel: event-driven simulation (2k requests). *)
       Test.make ~name:"fig5/simulate_2k_requests" (Staged.stage sim_once);
       (* NPOLICY2 kernel: model construction. *)

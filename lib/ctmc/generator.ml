@@ -18,55 +18,31 @@ let of_rates ~dim rates =
       if r < 0.0 || not (Float.is_finite r) then
         invalid "of_rates: rate (%d,%d) is %g, must be finite and >= 0" i j r)
     rates;
-  (* Heuristic: small systems go dense, larger ones stay sparse. *)
-  if dim <= 256 then begin
-    let m = Matrix.create dim dim in
-    List.iter (fun (i, j, r) -> Matrix.update m i j (fun x -> x +. r)) rates;
-    for i = 0 to dim - 1 do
-      let out = ref 0.0 in
-      for j = 0 to dim - 1 do
-        if j <> i then out := !out +. Matrix.get m i j
-      done;
-      Matrix.set m i i (-. !out)
-    done;
-    { n = dim; backing = Dense m }
-  end
-  else begin
-    let off = Sparse.of_triplets ~rows:dim ~cols:dim rates in
-    let sums = Sparse.row_sums off in
-    let diag = List.init dim (fun i -> (i, i, -.sums.(i))) in
-    let full = Sparse.of_triplets ~rows:dim ~cols:dim (diag @ rates) in
-    { n = dim; backing = Csr full }
-  end
+  (* One CSR build; the diagonal is minus the merged row sums, taken in
+     column order as a dense row would sum them. *)
+  let off = Sparse.of_triplets ~rows:dim ~cols:dim rates in
+  let sums = Sparse.row_sums off in
+  { n = dim; backing = Csr (Sparse.with_diagonal off (fun i -> -.sums.(i))) }
 
-let validate_full ~tol ~dims ~get_entry ~row_sum n =
-  let rows, cols = dims in
-  if rows <> cols then invalid "of_matrix: not square (%dx%d)" rows cols;
-  if rows = 0 then invalid "of_matrix: empty matrix";
+let of_matrix ?(tol = 1e-9) m =
+  let n = Matrix.rows m in
+  if Matrix.cols m <> n then
+    invalid "of_matrix: not square (%dx%d)" n (Matrix.cols m);
+  if n = 0 then invalid "of_matrix: empty matrix";
   for i = 0 to n - 1 do
-    let s = row_sum i in
-    if Float.abs s > tol then
-      invalid "of_matrix: row %d sums to %g (tolerance %g)" i s tol
+    let s = ref 0.0 in
+    Matrix.iter_row (fun _ x -> s := !s +. x) m i;
+    if Float.abs !s > tol then
+      invalid "of_matrix: row %d sums to %g (tolerance %g)" i !s tol
   done;
   for i = 0 to n - 1 do
     for j = 0 to n - 1 do
-      let x = get_entry i j in
+      let x = Matrix.get m i j in
       if not (Float.is_finite x) then invalid "of_matrix: entry (%d,%d) not finite" i j;
       if i <> j && x < 0.0 then
         invalid "of_matrix: negative off-diagonal %g at (%d,%d)" x i j
     done
-  done
-
-let of_matrix ?(tol = 1e-9) m =
-  let n = Matrix.rows m in
-  validate_full ~tol
-    ~dims:(Matrix.rows m, Matrix.cols m)
-    ~get_entry:(Matrix.get m)
-    ~row_sum:(fun i ->
-      let s = ref 0.0 in
-      Matrix.iter_row (fun _ x -> s := !s +. x) m i;
-      !s)
-    n;
+  done;
   (* Recompute the diagonal so row sums are exactly zero. *)
   let fixed = Matrix.copy m in
   for i = 0 to n - 1 do
@@ -77,28 +53,6 @@ let of_matrix ?(tol = 1e-9) m =
     Matrix.set fixed i i (-. !out)
   done;
   { n; backing = Dense fixed }
-
-let of_sparse ?(tol = 1e-9) s =
-  let n = Sparse.rows s in
-  if Sparse.cols s <> n then invalid "of_sparse: not square";
-  if n = 0 then invalid "of_sparse: empty matrix";
-  let sums = Sparse.row_sums s in
-  Array.iteri
-    (fun i x ->
-      if Float.abs x > tol then
-        invalid "of_sparse: row %d sums to %g (tolerance %g)" i x tol)
-    sums;
-  Sparse.iter s (fun i j x ->
-      if not (Float.is_finite x) then invalid "of_sparse: entry (%d,%d) not finite" i j;
-      if i <> j && x < 0.0 then
-        invalid "of_sparse: negative off-diagonal %g at (%d,%d)" x i j);
-  (* Rebuild with an exact diagonal. *)
-  let off = ref [] in
-  Sparse.iter s (fun i j x -> if i <> j && x <> 0.0 then off := (i, j, x) :: !off);
-  let out = Array.make n 0.0 in
-  List.iter (fun (i, _, x) -> out.(i) <- out.(i) +. x) !off;
-  let diag = List.init n (fun i -> (i, i, -.out.(i))) in
-  { n; backing = Csr (Sparse.of_triplets ~rows:n ~cols:n (diag @ !off)) }
 
 let dim g = g.n
 

@@ -18,7 +18,9 @@ exception Invalid of string
 
 val of_rates : dim:int -> (int * int * float) list -> t
 (** [of_rates ~dim rates] builds a generator from off-diagonal
-    transition rates [(i, j, rate)], computing the diagonal.
+    transition rates [(i, j, rate)], computing the diagonal, as one
+    CSR matrix in O(dim + length rates).  Duplicate [(i, j)] rates
+    are summed in list order.
     Raises {!Invalid} on negative rates, out-of-range indices, or
     [i = j] entries (self-rates are implied, not stored). *)
 
@@ -27,10 +29,6 @@ val of_matrix : ?tol:float -> Matrix.t -> t
     off-diagonal, row sums within [tol] (default [1e-9]) of zero.
     The row sums are then corrected exactly by recomputing the
     diagonal.  Raises {!Invalid} otherwise. *)
-
-val of_sparse : ?tol:float -> Sparse.t -> t
-(** Same as {!of_matrix} for a sparse input; large generators keep a
-    sparse backing and never densify. *)
 
 val dim : t -> int
 (** Number of states. *)
@@ -59,7 +57,8 @@ val to_sparse : t -> Sparse.t
 
 val is_dense_backed : t -> bool
 (** True when the generator stores a dense matrix internally:
-    {!of_matrix} always does, {!of_rates} up to 256 states. *)
+    {!of_matrix} does, {!of_rates} never does (its CSR rows hold the
+    same values, so every solver gives the same bits on either). *)
 
 val uniformization_rate : t -> float
 (** [uniformization_rate g] is [max_i exit_rate g i], the smallest

@@ -102,24 +102,50 @@ let gth_in ~guard { n; start; col; rate } (o : Band.ordering) =
       end
     done;
     (* Back substitution, then back to state indices.  The measure is
-       anchored at p(0) = 1, so when the first state of the order lies
-       deep in a tail the later entries outgrow the float range; past
-       2^600 the prefix is scaled by 2^-600, which is exact and leaves
-       the result bit-identical whenever it does not fire. *)
-    let p = Vec.create n in
-    p.(0) <- 1.0;
+       anchored at p(0) = 1, so along the order it can grow or shrink
+       past the float range (a deep tail, or a valley between two
+       peaks).  Entry k is kept as [m.(k) * 2^e.(k)]: a sum is taken at
+       the window's largest exponent and renormalised by [frexp] once
+       it leaves [2^-600, 2^600].  Scaling by a power of two is exact,
+       so while no entry leaves that range every exponent stays 0 and
+       the result is bit-identical to the plain recurrence. *)
+    let m = Vec.create n and e = Array.make n 0 in
+    m.(0) <- 1.0;
     for k = 1 to n - 1 do
-      let acc = ref 0.0 in
-      for i = max 0 (k - b) to k - 1 do
-        acc := !acc +. (p.(i) *. Array.unsafe_get a (base i + k))
+      let lo = max 0 (k - b) in
+      let top = ref min_int in
+      for i = lo to k - 1 do
+        if e.(i) > !top && m.(i) *. Array.unsafe_get a (base i + k) > 0.0
+        then top := e.(i)
       done;
-      p.(k) <- !acc;
-      if !acc > 0x1p600 then
-        for i = 0 to k do
-          p.(i) <- p.(i) *. 0x1p-600
-        done
+      let top = if !top = min_int then 0 else !top in
+      let acc = ref 0.0 in
+      for i = lo to k - 1 do
+        let x = m.(i) *. Array.unsafe_get a (base i + k) in
+        acc := !acc +. if e.(i) = top then x else Float.ldexp x (e.(i) - top)
+      done;
+      let x = !acc in
+      if x > 0x1p600 || (x > 0.0 && x < 0x1p-600) then begin
+        let f, d = Float.frexp x in
+        m.(k) <- f;
+        e.(k) <- top + d
+      end
+      else begin
+        m.(k) <- x;
+        e.(k) <- top
+      end
     done;
-    Vec.normalize1 (Vec.init n (fun i -> p.(pos.(i))))
+    (* One normalisation: the largest exponent maps to 2^0, and entries
+       more than the float range below it are 0. *)
+    let top = ref min_int in
+    for k = 0 to n - 1 do
+      if m.(k) > 0.0 && e.(k) > !top then top := e.(k)
+    done;
+    let top = !top in
+    Vec.normalize1
+      (Vec.init n (fun i ->
+           let k = pos.(i) in
+           if e.(k) = top then m.(k) else Float.ldexp m.(k) (e.(k) - top)))
   end
 
 let gth_rcm ~guard rows =

@@ -14,45 +14,101 @@ let nnz s = Array.length s.values
 
 let of_triplets ~rows ~cols ts =
   if rows < 0 || cols < 0 then invalid_arg "Sparse.of_triplets: negative shape";
+  (* Counting sort by row, which keeps the input order within a row. *)
+  let row_start = Array.make (rows + 1) 0 in
   List.iter
     (fun (i, j, _) ->
       if i < 0 || i >= rows || j < 0 || j >= cols then
         invalid_arg
           (Printf.sprintf "Sparse.of_triplets: (%d,%d) out of shape %dx%d" i j
-             rows cols))
+             rows cols);
+      row_start.(i + 1) <- row_start.(i + 1) + 1)
     ts;
-  (* Sort by (row, col) then merge duplicates, dropping exact zeros. *)
-  let arr = Array.of_list ts in
-  Array.sort
-    (fun (i1, j1, _) (i2, j2, _) -> if i1 <> i2 then compare i1 i2 else compare j1 j2)
-    arr;
-  let merged = ref [] and count = ref 0 in
-  let flush (i, j, v) = if v <> 0.0 then begin merged := (i, j, v) :: !merged; incr count end in
-  let pending = ref None in
-  Array.iter
-    (fun (i, j, v) ->
-      match !pending with
-      | None -> pending := Some (i, j, v)
-      | Some (i', j', v') when i = i' && j = j' -> pending := Some (i, j, v +. v')
-      | Some p ->
-          flush p;
-          pending := Some (i, j, v))
-    arr;
-  (match !pending with None -> () | Some p -> flush p);
-  let entries = Array.of_list (List.rev !merged) in
-  let n = Array.length entries in
-  let row_start = Array.make (rows + 1) 0 in
-  Array.iter (fun (i, _, _) -> row_start.(i + 1) <- row_start.(i + 1) + 1) entries;
   for i = 1 to rows do
     row_start.(i) <- row_start.(i) + row_start.(i - 1)
   done;
-  let col_index = Array.make n 0 and values = Array.make n 0.0 in
-  Array.iteri
-    (fun k (_, j, v) ->
-      col_index.(k) <- j;
-      values.(k) <- v)
-    entries;
-  { rows; cols; row_start; col_index; values }
+  let len = row_start.(rows) in
+  let col = Array.make len 0 and value = Array.make len 0.0 in
+  let next = Array.sub row_start 0 rows in
+  List.iter
+    (fun (i, j, v) ->
+      let k = next.(i) in
+      col.(k) <- j;
+      value.(k) <- v;
+      next.(i) <- k + 1)
+    ts;
+  (* Per row: a stable insertion sort by column (rows are short), then
+     duplicates summed in input order and exact zeros dropped, compacted
+     in place.  [row_start.(i)] is read before it is overwritten. *)
+  let w = ref 0 and lo = ref 0 in
+  for i = 0 to rows - 1 do
+    let hi = row_start.(i + 1) in
+    for k = !lo + 1 to hi - 1 do
+      let j = col.(k) and v = value.(k) in
+      let p = ref (k - 1) in
+      while !p >= !lo && col.(!p) > j do
+        col.(!p + 1) <- col.(!p);
+        value.(!p + 1) <- value.(!p);
+        decr p
+      done;
+      col.(!p + 1) <- j;
+      value.(!p + 1) <- v
+    done;
+    let k = ref !lo in
+    while !k < hi do
+      let j = col.(!k) and sum = ref value.(!k) in
+      incr k;
+      while !k < hi && col.(!k) = j do
+        sum := !sum +. value.(!k);
+        incr k
+      done;
+      if !sum <> 0.0 then begin
+        col.(!w) <- j;
+        value.(!w) <- !sum;
+        incr w
+      end
+    done;
+    lo := hi;
+    row_start.(i + 1) <- !w
+  done;
+  let trim a = if !w = len then a else Array.sub a 0 !w in
+  { rows; cols; row_start; col_index = trim col; values = trim value }
+
+let with_diagonal s d =
+  if s.rows <> s.cols then invalid_arg "Sparse.with_diagonal: not square";
+  let n = s.rows in
+  let row_start = Array.make (n + 1) 0 in
+  let len = nnz s + n in
+  let col_index = Array.make len 0 and values = Array.make len 0.0 in
+  let w = ref 0 in
+  let put j x =
+    col_index.(!w) <- j;
+    values.(!w) <- x;
+    incr w
+  in
+  for i = 0 to n - 1 do
+    let k = ref s.row_start.(i) and hi = s.row_start.(i + 1) in
+    while !k < hi && s.col_index.(!k) < i do
+      put s.col_index.(!k) s.values.(!k);
+      incr k
+    done;
+    let di = d i in
+    if di <> 0.0 then put i di;
+    if !k < hi && s.col_index.(!k) = i then incr k;
+    while !k < hi do
+      put s.col_index.(!k) s.values.(!k);
+      incr k
+    done;
+    row_start.(i + 1) <- !w
+  done;
+  let trim a = if !w = len then a else Array.sub a 0 !w in
+  {
+    rows = n;
+    cols = n;
+    row_start;
+    col_index = trim col_index;
+    values = trim values;
+  }
 
 let of_dense m =
   let ts = ref [] in
@@ -101,46 +157,10 @@ let iter s f =
     iter_row s i (fun j x -> f i j x)
   done
 
-let triplets s =
-  let acc = ref [] in
-  iter s (fun i j x -> acc := (i, j, x) :: !acc);
-  List.rev !acc
-
-let map f s =
-  of_triplets ~rows:s.rows ~cols:s.cols
-    (List.map (fun (i, j, x) -> (i, j, f x)) (triplets s))
-
-let scale a s = map (fun x -> a *. x) s
-
-let add a b =
-  if a.rows <> b.rows || a.cols <> b.cols then
-    invalid_arg "Sparse.add: shape mismatch";
-  of_triplets ~rows:a.rows ~cols:a.cols (triplets a @ triplets b)
-
-let transpose s =
-  of_triplets ~rows:s.cols ~cols:s.rows
-    (List.map (fun (i, j, x) -> (j, i, x)) (triplets s))
-
-let mul_vec_into s v ~dst =
-  if Vec.dim v <> s.cols then
-    invalid_arg "Sparse.mul_vec_into: dimension mismatch";
-  if Vec.dim dst <> s.rows then
-    invalid_arg "Sparse.mul_vec_into: destination dimension mismatch";
-  (* Hoisted accumulator: the sweep allocates nothing. *)
-  let acc = ref 0.0 in
-  for i = 0 to s.rows - 1 do
-    acc := 0.0;
-    for k = s.row_start.(i) to s.row_start.(i + 1) - 1 do
-      acc := !acc +. (s.values.(k) *. v.(s.col_index.(k)))
-    done;
-    dst.(i) <- !acc
-  done
-
-let mul_vec s v =
-  if Vec.dim v <> s.cols then invalid_arg "Sparse.mul_vec: dimension mismatch";
-  let dst = Vec.create s.rows in
-  mul_vec_into s v ~dst;
-  dst
+let scale a s =
+  let ts = ref [] in
+  iter s (fun i j x -> ts := (i, j, a *. x) :: !ts);
+  of_triplets ~rows:s.rows ~cols:s.cols (List.rev !ts)
 
 let vec_mul v s =
   if Vec.dim v <> s.rows then invalid_arg "Sparse.vec_mul: dimension mismatch";
@@ -151,31 +171,8 @@ let vec_mul v s =
   done;
   out
 
-let mul a b =
-  if a.cols <> b.rows then invalid_arg "Sparse.mul: shape mismatch";
-  (* Row-by-row accumulation into a hash table keyed by column. *)
-  let ts = ref [] in
-  for i = 0 to a.rows - 1 do
-    let acc = Hashtbl.create 16 in
-    iter_row a i (fun k aik ->
-        iter_row b k (fun j bkj ->
-            let prev = Option.value (Hashtbl.find_opt acc j) ~default:0.0 in
-            Hashtbl.replace acc j (prev +. (aik *. bkj))));
-    Hashtbl.iter (fun j x -> ts := (i, j, x) :: !ts) acc
-  done;
-  of_triplets ~rows:a.rows ~cols:b.cols !ts
-
 let row_sums s =
   Vec.init s.rows (fun i ->
       let acc = ref 0.0 in
       iter_row s i (fun _ x -> acc := !acc +. x);
       !acc)
-
-let approx_equal ?(tol = 1e-9) a b =
-  a.rows = b.rows && a.cols = b.cols
-  && Matrix.approx_equal ~tol (to_dense a) (to_dense b)
-
-let pp ppf s =
-  Format.fprintf ppf "@[<hov>%dx%d nnz=%d:@ " s.rows s.cols (nnz s);
-  iter s (fun i j x -> Format.fprintf ppf "(%d,%d)=%g;@ " i j x);
-  Format.fprintf ppf "@]"

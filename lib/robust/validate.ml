@@ -29,71 +29,79 @@ let warnf c ~code ~site fmt =
 
 (* --- CTMDP choice tables ------------------------------------------- *)
 
+(* Sites are formatted only when a finding fires: a clean model
+   allocates no string. *)
+let choice_site state k = Printf.sprintf "state %d, choice %d" state k
+let state_site state = Printf.sprintf "state %d" state
+
 let check_choice c ~num_states ~state k (ch : Dpm_ctmdp.Model.choice) =
-  let site = Printf.sprintf "state %d, choice %d" state k in
   if not (Float.is_finite ch.Dpm_ctmdp.Model.cost) then
-    errf c ~code:"non-finite-cost" ~site "cost rate is %g"
-      ch.Dpm_ctmdp.Model.cost;
+    errf c ~code:"non-finite-cost" ~site:(choice_site state k)
+      "cost rate is %g" ch.Dpm_ctmdp.Model.cost;
   List.iter
     (fun (j, r) ->
       if j < 0 || j >= num_states then
-        errf c ~code:"bad-target" ~site "rate targets state %d of %d" j
-          num_states
+        errf c ~code:"bad-target" ~site:(choice_site state k)
+          "rate targets state %d of %d" j num_states
       else if j = state then
-        errf c ~code:"bad-target" ~site "self-rate (diagonal is implied)"
+        errf c ~code:"bad-target" ~site:(choice_site state k)
+          "self-rate (diagonal is implied)"
       else if not (Float.is_finite r) then
-        errf c ~code:"bad-rate" ~site "rate to state %d is %g" j r
+        errf c ~code:"bad-rate" ~site:(choice_site state k)
+          "rate to state %d is %g" j r
       else if r < 0.0 then
-        errf c ~code:"bad-rate" ~site "rate to state %d is negative (%g)" j r)
+        errf c ~code:"bad-rate" ~site:(choice_site state k)
+          "rate to state %d is negative (%g)" j r)
     ch.Dpm_ctmdp.Model.rates
 
+(* The index of the first of the first [k] choices labelled [action]. *)
+let rec first_label action k i = function
+  | (ch : Dpm_ctmdp.Model.choice) :: rest when i < k ->
+      if ch.Dpm_ctmdp.Model.action = action then Some i
+      else first_label action k (i + 1) rest
+  | _ -> None
+
 let check_state_choices c ~num_states state (cs : Dpm_ctmdp.Model.choice list) =
-  let site = Printf.sprintf "state %d" state in
-  if cs = [] then errf c ~code:"empty-choice" ~site "no choices"
-  else begin
-    let seen = Hashtbl.create 8 in
+  if cs = [] then errf c ~code:"empty-choice" ~site:(state_site state) "no choices"
+  else
     List.iteri
       (fun k ch ->
-        (match Hashtbl.find_opt seen ch.Dpm_ctmdp.Model.action with
+        let action = ch.Dpm_ctmdp.Model.action in
+        (match first_label action k 0 cs with
         | Some k0 ->
-            errf c ~code:"duplicate-action" ~site
-              "choices %d and %d both carry action label %d" k0 k
-              ch.Dpm_ctmdp.Model.action
-        | None -> Hashtbl.replace seen ch.Dpm_ctmdp.Model.action k);
+            errf c ~code:"duplicate-action" ~site:(state_site state)
+              "choices %d and %d both carry action label %d" k0 k action
+        | None -> ());
         check_choice c ~num_states ~state k ch)
       cs
-  end
 
 (* Unichain reachability on the union graph: if even the union of all
    choices' rates has several closed classes, every policy does, and
    no average-cost problem on the model is well posed (Theorem 2.1 /
    the paper's connectivity argument).  Necessary, not sufficient —
    the per-policy singular case is handled at solve time by the
-   Tikhonov ladder. *)
-let check_unichain c ~num_states choices_by_state =
-  let rates = ref [] in
-  Array.iteri
-    (fun i cs ->
-      List.iter
-        (fun (ch : Dpm_ctmdp.Model.choice) ->
-          List.iter
-            (fun (j, r) -> if r > 0.0 then rates := (i, j, r) :: !rates)
-            ch.Dpm_ctmdp.Model.rates)
-        cs)
-    choices_by_state;
-  match Dpm_ctmc.Generator.of_rates ~dim:num_states !rates with
-  | g -> (
-      match Dpm_ctmc.Structure.recurrent_classes g with
-      | [] | [ _ ] -> ()
-      | classes ->
-          errf c ~code:"not-unichain" ~site:"union graph"
-            "the union of all choices has %d closed classes; no policy can \
-             be unichain"
-            (List.length classes))
-  | exception Dpm_ctmc.Generator.Invalid msg ->
-      (* Only reachable when structural findings already exist; keep
-         the message anyway for context. *)
-      errf c ~code:"invalid-generator" ~site:"union graph" "%s" msg
+   Tikhonov ladder.  Runs only on a structurally clean table, so every
+   target is in range and every rate finite. *)
+let check_unichain c choices_by_state =
+  let succ =
+    Array.map
+      (fun cs ->
+        Array.of_list
+          (List.fold_left
+             (fun acc (ch : Dpm_ctmdp.Model.choice) ->
+               List.fold_left
+                 (fun acc (j, r) -> if r > 0.0 then j :: acc else acc)
+                 acc ch.Dpm_ctmdp.Model.rates)
+             [] cs))
+      choices_by_state
+  in
+  match Dpm_ctmc.Structure.closed_classes succ with
+  | [] | [ _ ] -> ()
+  | classes ->
+      errf c ~code:"not-unichain" ~site:"union graph"
+        "the union of all choices has %d closed classes; no policy can be \
+         unichain"
+        (List.length classes)
 
 let choices ~num_states choices_of =
   let c = collector () in
@@ -107,12 +115,12 @@ let choices ~num_states choices_of =
           match choices_of i with
           | cs -> cs
           | exception exn ->
-              errf c ~code:"choices-raised" ~site:(Printf.sprintf "state %d" i)
+              errf c ~code:"choices-raised" ~site:(state_site i)
                 "%s" (Printexc.to_string exn);
               [])
     in
     Array.iteri (fun i cs -> check_state_choices c ~num_states i cs) table;
-    if Diagnostic.errors c.diags = [] then check_unichain c ~num_states table;
+    if Diagnostic.errors c.diags = [] then check_unichain c table;
     finish c
   end
 
@@ -195,22 +203,24 @@ let pp_state_str sys x = Format.asprintf "%a" (Sys_model.pp_state sys) x
 let check_actions c sys =
   let sp = Sys_model.sp sys in
   let q_cap = Sys_model.queue_capacity sys in
+  let site x = pp_state_str sys x in
   Array.iter
     (fun x ->
-      let site = pp_state_str sys x in
       let actions = Sys_model.valid_actions sys x in
-      if actions = [] then errf c ~code:"no-actions" ~site "empty action set";
+      if actions = [] then
+        errf c ~code:"no-actions" ~site:(site x) "empty action set";
       List.iter
         (fun a ->
           if a < 0 || a >= Service_provider.num_modes sp then
-            errf c ~code:"bad-action" ~site "action %d is not a mode" a
+            errf c ~code:"bad-action" ~site:(site x) "action %d is not a mode"
+              a
           else
             match x with
             | Sys_model.Stable (s, q) ->
                 if Service_provider.is_active sp s then begin
                   (* (1) service must not be interrupted *)
                   if not (Service_provider.is_active sp a) then
-                    errf c ~code:"c1-interrupts-service" ~site
+                    errf c ~code:"c1-interrupts-service" ~site:(site x)
                       "active mode %s commanded to inactive %s"
                       (Service_provider.name sp s)
                       (Service_provider.name sp a)
@@ -218,7 +228,7 @@ let check_actions c sys =
                 else if q = q_cap then begin
                   (* (2) full queue: an inactive SP must make progress *)
                   if a = s then
-                    errf c ~code:"c2-no-progress" ~site
+                    errf c ~code:"c2-no-progress" ~site:(site x)
                       "full queue but inactive mode %s may stay"
                       (Service_provider.name sp s)
                   else if
@@ -226,7 +236,7 @@ let check_actions c sys =
                     && Service_provider.wakeup_time sp a
                        >= Service_provider.wakeup_time sp s
                   then
-                    errf c ~code:"c2-no-progress" ~site
+                    errf c ~code:"c2-no-progress" ~site:(site x)
                       "full queue but %s -> %s does not shorten the wakeup \
                        (%g >= %g)"
                       (Service_provider.name sp s)
@@ -242,7 +252,7 @@ let check_actions c sys =
                   && Service_provider.service_rate sp a
                      < Service_provider.service_rate sp s
                 then
-                  errf c ~code:"c3-slower-service" ~site
+                  errf c ~code:"c3-slower-service" ~site:(site x)
                     "full transfer from %s may switch to slower active %s \
                      (mu %g < %g)"
                     (Service_provider.name sp s)

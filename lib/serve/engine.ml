@@ -52,6 +52,8 @@ let src = Logs.Src.create "dpm.serve" ~doc:"serving engine"
 
 module Log = (val Logs.src_log src : Logs.LOG)
 
+(* [extra] runs only under an active recorder: a re-solve with tracing
+   off builds no argument list. *)
 let trace_resolve ~outcome ~now ~rate ~extra =
   if Dpm_trace.Recorder.enabled () then
     Dpm_trace.Recorder.instant "serve.resolve"
@@ -59,7 +61,7 @@ let trace_resolve ~outcome ~now ~rate ~extra =
         (("outcome", Dpm_trace.Event.Str outcome)
          :: ("sim_time", Dpm_trace.Event.Float now)
          :: ("rate", Dpm_trace.Event.Float rate)
-         :: extra)
+         :: extra ())
 
 (* A stored action table is only deployable if it indexes this state
    space and every entry is a legal command. *)
@@ -318,7 +320,7 @@ let attempt_resolve t ~target =
       Dpm_obs.Probe.incr "serve.policy_switches";
       Dpm_obs.Probe.set "serve.deployed_rate" target;
       trace_resolve ~outcome:"deployed" ~now:t.now ~rate:target
-        ~extra:(Dpm_trace.Provenance.to_args provenance)
+        ~extra:(fun () -> Dpm_trace.Provenance.to_args provenance)
   | Error exn ->
       t.resolve_failures_count <- t.resolve_failures_count + 1;
       t.last_error <- Dpm_robust.Error.of_exn exn;
@@ -335,7 +337,7 @@ let attempt_resolve t ~target =
             (Health.state_to_string (Health.state t.health))
             (Backoff.delay t.backoff));
       trace_resolve ~outcome:"failed" ~now:t.now ~rate:target
-        ~extra:[ ("error", Dpm_trace.Event.Str cls) ]
+        ~extra:(fun () -> [ ("error", Dpm_trace.Event.Str cls) ])
 
 let maybe_resolve t =
   if t.now -. t.last_attempt >= t.cooldown +. Backoff.delay t.backoff then

@@ -213,6 +213,47 @@ let prop_gth_bitwise =
   Test_util.qtest ~count:1000 "GTH vector matches the reference bit for bit"
     generator_gen (fun g -> same_vec_bits (Steady_state.gth g) (Ref.gth g))
 
+(* [of_rates] builds one CSR matrix at every size; [of_matrix] keeps a
+   dense one.  Both must hold the same entries to the bit (duplicate
+   rates summed in list order, the diagonal summed in column order),
+   and the stationary solve must not tell them apart, on chains of
+   2-256 states. *)
+let rate_list_gen =
+  QCheck2.Gen.(
+    oneof [ int_range 2 16; int_range 17 256; pure 256 ] >>= fun n ->
+    let ring = List.init n (fun i -> (i, (i + 1) mod n, 0.25)) in
+    map
+      (fun extra ->
+        ( n,
+          ring
+          @ List.filter_map
+              (fun (i, j, r) ->
+                let i = i mod n and j = j mod n in
+                if i = j then None else Some (i, j, r))
+              extra ))
+      (list_size (int_range 0 (2 * n))
+         (triple (int_range 0 255) (int_range 0 255) rate_gen)))
+
+let prop_csr_dense_solve_bitwise =
+  Test_util.qtest ~count:100 "solve on of_rates matches of_matrix bit for bit"
+    rate_list_gen (fun (n, rates) ->
+      let m = Matrix.create n n in
+      List.iter (fun (i, j, r) -> Matrix.update m i j (fun x -> x +. r)) rates;
+      for i = 0 to n - 1 do
+        let out = ref 0.0 in
+        for j = 0 to n - 1 do
+          if j <> i then out := !out +. Matrix.get m i j
+        done;
+        Matrix.set m i i (-. !out)
+      done;
+      let csr = Generator.of_rates ~dim:n rates
+      and dense = Generator.of_matrix m in
+      let entries g =
+        Array.init (n * n) (fun k -> Generator.get g (k / n) (k mod n))
+      in
+      same_vec_bits (entries csr) (entries dense)
+      && same_vec_bits (Steady_state.solve csr) (Steady_state.solve dense))
+
 (* --- allocation guard -------------------------------------------------- *)
 
 (* A 300 x 300 diagonally dominant matrix with its rows shifted by one,
@@ -293,4 +334,5 @@ let suite =
     prop_gth_bitwise;
     t "decompose allocates only its factors" `Quick decompose_allocation;
     t "paper SP gains pinned to the bit" `Quick gains_pinned;
+    prop_csr_dense_solve_bitwise;
   ]

@@ -380,6 +380,137 @@ let nan_entry_always_rejected () =
             (Error.to_string e) seed)
     [ 1; 2; 3; 4; 5 ]
 
+(* --- diagnostic text ----------------------------------------------- *)
+
+let rendered ds = List.map Diagnostic.to_string ds
+
+(* Every finding's code, site and message, rendered in full: sites are
+   formatted lazily, so these pin that the text did not change. *)
+let diagnostic_text_pinned () =
+  let check name want ds =
+    Alcotest.(check (list string)) name want (rendered ds)
+  in
+  check "one of each"
+    [
+      "error[choices-raised] state 1: Failure(\"boom\")";
+      "error[bad-target] state 0, choice 0: rate targets state 3 of 3";
+      "error[bad-target] state 0, choice 0: self-rate (diagonal is implied)";
+      "error[bad-rate] state 0, choice 0: rate to state 1 is inf";
+      "error[bad-rate] state 0, choice 0: rate to state 2 is negative (-0.5)";
+      "error[duplicate-action] state 0: choices 0 and 2 both carry action \
+       label 0";
+      "error[duplicate-action] state 0: choices 1 and 3 both carry action \
+       label 1";
+      "error[empty-choice] state 1: no choices";
+      "error[non-finite-cost] state 2, choice 0: cost rate is -inf";
+    ]
+    (Validate.choices ~num_states:3 (function
+      | 0 ->
+          [
+            choice 0 0.0
+              [ (3, 1.0); (0, 1.0); (1, Float.infinity); (2, -0.5) ];
+            choice 1 0.0 [ (1, 1.0) ];
+            choice 0 1.0 [ (2, 1.0) ];
+            choice 1 2.0 [];
+          ]
+      | 1 -> failwith "boom"
+      | _ -> [ choice 7 Float.neg_infinity [ (0, 1.0) ] ]));
+  check "union graph"
+    [
+      "error[not-unichain] union graph: the union of all choices has 2 \
+       closed classes; no policy can be unichain";
+    ]
+    (Validate.choices ~num_states:4 (function
+      | 0 -> [ choice 0 0.0 [ (1, 1.0) ] ]
+      | 1 -> [ choice 0 0.0 [ (0, 1.0) ] ]
+      | 2 -> [ choice 0 0.0 [ (3, 1.0) ] ]
+      | _ -> [ choice 0 0.0 [ (2, 1.0) ] ]));
+  check "empty model" [ "error[empty-model] model: num_states = 0" ]
+    (Validate.choices ~num_states:0 (fun _ -> []));
+  let flood =
+    Validate.choices ~num_states:150 (fun _ -> [ choice 0 Float.nan [] ])
+  in
+  Alcotest.(check int) "cap" 101 (List.length flood);
+  check "truncated tail"
+    [
+      "error[non-finite-cost] state 99, choice 0: cost rate is nan";
+      "warning[truncated] report: more than 100 findings; further ones dropped";
+    ]
+    (List.filteri (fun i _ -> i >= 99) flood);
+  (* The fault matrix of [model_fault_matrix], every finding in full:
+     its first seed per kind spelled out, all 42 findings digested. *)
+  let sys = Paper_instance.system () in
+  let n = Sys_model.num_states sys in
+  let raw = Validate.system_choices sys ~weight:1.0 in
+  let all = Buffer.create 4096 and count = ref 0 and first = ref [] in
+  List.iter
+    (fun kind ->
+      List.iter
+        (fun seed ->
+          let plan = Fault.plan ~seed:(Int64.of_int seed) [ kind ] in
+          let ds =
+            Validate.choices ~num_states:n
+              (Fault.corrupt_choices plan ~num_states:n raw)
+          in
+          List.iter
+            (fun line ->
+              incr count;
+              Buffer.add_string all line;
+              Buffer.add_char all '\n')
+            (rendered ds);
+          if seed = 1 then first := !first @ rendered ds)
+        [ 1; 2; 3; 4; 5; 6; 7 ])
+    [
+      Fault.Nan_rate;
+      Fault.Negative_rate;
+      Fault.Nan_cost;
+      Fault.Empty_choice;
+      Fault.Bad_target;
+      Fault.Duplicate_action;
+    ];
+  Alcotest.(check (list string))
+    "fault matrix, seed 1"
+    [
+      "error[bad-rate] state 1, choice 0: rate to state 2 is nan";
+      "error[bad-rate] state 6, choice 0: rate to state 7 is negative (-1)";
+      "error[non-finite-cost] state 22, choice 0: cost rate is nan";
+      "error[empty-choice] state 19: no choices";
+      "error[bad-target] state 3, choice 0: rate targets state 23 of 23";
+      "error[duplicate-action] state 20: choices 0 and 1 both carry action \
+       label 0";
+    ]
+    !first;
+  Alcotest.(check int) "fault matrix findings" 42 !count;
+  Alcotest.(check string) "fault matrix digest"
+    "a7578f5ec17258d55fb692b89dcdcb02"
+    (Digest.to_hex (Digest.string (Buffer.contents all)))
+
+(* A clean model's validation builds no site string and no generator:
+   what it allocates is the union graph's successor arrays and Tarjan's
+   stacks, O(n + edges).  The paper SYS at Q = 100 has 403 states and
+   takes about 37k words; formatting every site and building the union
+   generator, as validation once did, took 232k. *)
+let validate_allocation () =
+  let sys =
+    Sys_model.create ~sp:(Paper_instance.service_provider ())
+      ~queue_capacity:100 ~arrival_rate:Paper_instance.arrival_rate ()
+  in
+  let m = Sys_model.to_ctmdp sys ~weight:1.0 in
+  (* The least of three runs: a garbage collection that happens to fall
+     inside one run can add words that validation never asked for. *)
+  let run () =
+    let before = Gc.minor_words () in
+    let ds = Validate.model m in
+    let words = Gc.minor_words () -. before in
+    Alcotest.(check int) "clean" 0 (List.length ds);
+    words
+  in
+  let words = Float.min (run ()) (Float.min (run ()) (run ())) in
+  let budget = 150.0 *. float_of_int (Sys_model.num_states sys) in
+  if words > budget then
+    Alcotest.failf "Validate.model allocated %.0f words at %d states (budget %.0f)"
+      words (Sys_model.num_states sys) budget
+
 (* --- degrade-gracefully sweeps -------------------------------------- *)
 
 let poisoned_sweep_keeps_other_points () =
@@ -482,6 +613,8 @@ let suite =
       validate_reports_all_findings;
     t "generator matrix diagnostics" `Quick generator_matrix_diagnostics;
     t "fault matrix: every model fault is typed" `Quick model_fault_matrix;
+    t "diagnostic text pinned" `Quick diagnostic_text_pinned;
+    t "validation allocates O(n + edges)" `Quick validate_allocation;
     t "fault matrix: matrix faults never escape" `Quick matrix_fault_matrix;
     t "fault matrix: NaN entries always rejected" `Quick
       nan_entry_always_rejected;

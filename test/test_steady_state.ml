@@ -74,22 +74,61 @@ let geometric_in_log_space n rho =
   let w = Vec.init n (fun i -> Float.exp ((float_of_int i *. lr) -. top)) in
   Vec.scale (1.0 /. Vec.sum w) w
 
+(* Entrywise against a closed form: [abs] (default 1e-14) absolute
+   everywhere, 1e-10 relative wherever the exact value is at least
+   1e-280. *)
+let check_closed_form ?(abs = 1e-14) name expected p =
+  let abs_err = ref 0.0 and rel_err = ref 0.0 in
+  Array.iteri
+    (fun i e ->
+      let d = Float.abs (p.(i) -. e) in
+      abs_err := Float.max !abs_err d;
+      if e >= 1e-280 then rel_err := Float.max !rel_err (d /. e))
+    expected;
+  if !abs_err > abs || !rel_err > 1e-10 then
+    Alcotest.failf "%s: max abs error %g, max relative error %g" name !abs_err
+      !rel_err
+
 let deep_birth_death rho () =
   let n = 2000 in
   let g = birth_death n rho 1.0 in
   let expected = geometric_in_log_space n rho in
   List.iter
     (fun (name, p) ->
-      let abs_err = ref 0.0 and rel_err = ref 0.0 in
-      Array.iteri
-        (fun i e ->
-          let d = Float.abs (p.(i) -. e) in
-          abs_err := Float.max !abs_err d;
-          if e >= 1e-280 then rel_err := Float.max !rel_err (d /. e))
-        expected;
-      if !abs_err > 1e-14 || !rel_err > 1e-10 then
-        Alcotest.failf "%s at rho %g: max abs error %g, max relative error %g"
-          name rho !abs_err !rel_err)
+      check_closed_form (Printf.sprintf "%s at rho %g" name rho) expected p)
+    [ ("solve", Steady_state.solve g); ("gth", Steady_state.gth g) ]
+
+(* Two peaks around a valley far below the smallest float: a 2000-state
+   birth-death chain, symmetric about its middle, with rho = 0.36
+   towards state 0 on the first half and towards state 1999 on the
+   second.  p(k) is proportional to rho^min(k, 1999 - k), so
+   p(0) = p(1999) = 0.32; once the back substitution's measure
+   underflows in the valley, the second peak must not be lost. *)
+let two_peak_birth_death () =
+  let n = 2000 and rho = 0.36 in
+  let rates = ref [] in
+  for i = 0 to n - 2 do
+    let up, down =
+      if 2 * (i + 1) < n then (rho, 1.0)
+      else if 2 * (i + 1) = n then (1.0, 1.0)
+      else (1.0, rho)
+    in
+    rates := (i, i + 1, up) :: (i + 1, i, down) :: !rates
+  done;
+  let g = Generator.of_rates ~dim:n !rates in
+  let lr = Float.log rho in
+  let w =
+    Vec.init n (fun k -> Float.exp (float_of_int (min k (n - 1 - k)) *. lr))
+  in
+  let expected = Vec.scale (1.0 /. Vec.sum w) w in
+  List.iter
+    (fun (name, p) ->
+      (* Each peak is reached from the other through 2000 steps of the
+         back substitution, each rounding once: about 4e-14 relative. *)
+      check_closed_form ~abs:1e-12 name expected p;
+      Test_util.check_relative ~rel:1e-10 (name ^ " first peak") expected.(0) p.(0);
+      Test_util.check_relative ~rel:1e-10 (name ^ " second peak")
+        expected.(n - 1) p.(n - 1))
     [ ("solve", Steady_state.solve g); ("gth", Steady_state.gth g) ]
 
 (* The paper SYS at Q = 2000 under the uniform active command: 8003
@@ -155,6 +194,7 @@ let suite =
     t "expected_value" `Quick expected_value_reads_costs;
     t "deep birth-death, rho 0.36" `Quick (deep_birth_death 0.36);
     t "deep birth-death, rho 2.75" `Quick (deep_birth_death 2.75);
+    t "two peaks across an underflowing valley" `Quick two_peak_birth_death;
     t "paper SYS at Q = 2000" `Quick deep_paper_sys;
     prop_gth_lu_agree;
     prop_solution_is_stationary;

@@ -102,6 +102,20 @@ let perf_tests () =
     done;
     (a, b)
   in
+  (* Two paper-SP servers at Q = 17 (71 states each): 5,041 joint
+     states. *)
+  let joint_deploy =
+    let open Dpm_fleet in
+    let spec =
+      Spec.create ~weight:1.0 ~min_active:2
+        [
+          Spec.group ~name:"a" ~sp:(Paper_instance.service_provider ())
+            ~queue_capacity:17 ~count:2 ();
+        ]
+    in
+    Deploy.resolve ~domains:1 spec ~total_rate:0.3 ~active:2
+  in
+  let joint = Dpm_fleet.Joint.build joint_deploy in
   Test.make_grouped ~name:"dpm"
     [
       (* FIG4 kernel: one policy-iteration solve of the paper CTMDP. *)
@@ -138,10 +152,20 @@ let perf_tests () =
       (* NPOLICY2 kernel: model construction. *)
       Test.make ~name:"npolicy2/build_ctmdp"
         (Staged.stage (fun () -> Sys_model.to_ctmdp sys ~weight:1.0));
-      (* ABL2 kernel: the Section III Kronecker build, materialized. *)
-      Test.make ~name:"abl2/kron_to_dense"
+      (* ABL2 kernel: the Section III Kronecker build. *)
+      Test.make ~name:"abl2/tensor_generator"
+        (Staged.stage (fun () -> Sys_model.tensor_generator sys ~action:0));
+      (* ABL3 kernel: relative value iteration on the paper CTMDP at a
+         fixed sweep count ([tol = 0] never converges early). *)
+      Test.make ~name:"vi/paper_23"
         (Staged.stage (fun () ->
-             Dpm_linalg.Operator.to_dense (Sys_model.operator sys ~action:0)));
+             Dpm_ctmdp.Value_iteration.solve ~tol:0.0 ~max_iter:1_000 model));
+      (* The flat joint fleet oracle: build and stationary solve of a
+         two-server fleet of paper SPs. *)
+      Test.make
+        ~name:(Printf.sprintf "joint/two_server_%d" (Dpm_fleet.Joint.num_states joint))
+        (Staged.stage (fun () ->
+             Dpm_fleet.Joint.stationary (Dpm_fleet.Joint.build joint_deploy)));
     ]
 
 let perf () =

@@ -188,99 +188,84 @@ let generator_of_actions sys ~actions =
 let uniform_generator sys ~action =
   Generator.to_matrix (generator_of_actions sys ~actions:(fun _ -> action))
 
-(* --- the tensor-block formula of Section III, lazily ------------------ *)
+(* --- the tensor-block formula of Section III ----------------------- *)
 
 (* The canonical state order is already tensor-ordered: stable states
    are [mode-major x queue-minor] (an S x (Q+1) grid) and transfer
    states [active-position-major x level-minor] (a |S_active| x Q
    grid), so no permutation is needed, although the literal Section
    III layout puts active modes first.  And because each Kronecker
-   factor carries its own rates, the lazy form handles any number of
+   factor carries its own rates, the formula handles any number of
    active modes. *)
-let operator sys ~action =
+let tensor_generator sys ~action =
   let sp = sys.sp in
   let s_count = num_modes sys in
   let q = sys.queue_capacity in
   let k = num_active sys in
   let lam = sys.arrival_rate in
   if action < 0 || action >= s_count then
-    invalid_arg "Sys_model.operator: action out of range";
-  (* Arrival superdiagonal over [n] queue levels — O(n) stored floats. *)
-  let arrival n =
-    Operator.csr
-      (Sparse.of_triplets ~rows:n ~cols:n
-         (List.init (max 0 (n - 1)) (fun i -> (i, i + 1, lam))))
-  in
+    invalid_arg "Sys_model.tensor_generator: action out of range";
+  let n = num_states sys and n_stable = s_count * (q + 1) in
+  let g = Matrix.create n n in
+  (* Arrival superdiagonal over [m] queue levels. *)
+  let arrival m = Matrix.init m m (fun i j -> if j = i + 1 then lam else 0.0) in
   (* SS: G_SP_off(a) (+) arrivals — the Kronecker sum of the
      off-diagonal SP generator under the uniform command and the SQ
-     arrival chain (diagonals are added globally below). *)
+     arrival chain (the diagonal is set below). *)
   let g_sp_off =
     Matrix.init s_count s_count (fun s s' ->
         if s' = action && s <> s' then Service_provider.switch_rate sp s action
         else 0.0)
   in
-  let ss = Operator.kron_sum (Operator.dense g_sp_off) (arrival (q + 1)) in
-  let off =
-    if k = 0 then ss
-    else begin
-      (* ST: service completions Stable(s,i) -> Transfer(s,i) at
-         mu(s), as [Mu (x) P] with Mu(s, pos(s)) = mu(s) and P the
-         level map i -> i-1 (row 0 empty: no service on an empty
-         queue). *)
-      let mu = Matrix.create s_count k in
-      Array.iteri
-        (fun pos s -> Matrix.set mu s pos (Service_provider.service_rate sp s))
-        sys.active;
-      let p_drop =
-        Operator.csr
-          (Sparse.of_triplets ~rows:(q + 1) ~cols:q
-             (List.init q (fun i -> (i + 1, i, 1.0))))
-      in
-      let st = Operator.kron_prod (Operator.dense mu) p_drop in
-      (* TS: transfer resolution Transfer(s, i) -> Stable(a, i-1) at
-         the extended rate chi-hat(s, a) (self-switch = big M), as
-         [R (x) N] with R(pos(s), a) the resolution rate and N the
-         level-preserving embedding. *)
-      let r = Matrix.create k s_count in
-      Array.iteri
-        (fun pos s -> Matrix.set r pos action (switch_out_rate sys s action))
-        sys.active;
-      let n_keep =
-        Operator.csr
-          (Sparse.of_triplets ~rows:q ~cols:(q + 1)
-             (List.init q (fun i -> (i, i, 1.0))))
-      in
-      let ts = Operator.kron_prod (Operator.dense r) n_keep in
-      (* TT: arrivals within the transfer band. *)
-      let tt = Operator.kron_prod (Operator.identity k) (arrival q) in
-      Operator.blocks
-        ~row_dims:[| s_count * (q + 1); k * q |]
-        ~col_dims:[| s_count * (q + 1); k * q |]
-        [| [| Some ss; Some st |]; [| Some ts; Some tt |] |]
-    end
-  in
+  Matrix.set_block g ~row:0 ~col:0 (Matrix.kron_sum g_sp_off (arrival (q + 1)));
+  if k > 0 then begin
+    (* ST: service completions Stable(s,i) -> Transfer(s,i) at
+       mu(s), as [Mu (x) P] with Mu(s, pos(s)) = mu(s) and P the
+       level map i -> i-1 (row 0 empty: no service on an empty
+       queue). *)
+    let mu = Matrix.create s_count k in
+    Array.iteri
+      (fun pos s -> Matrix.set mu s pos (Service_provider.service_rate sp s))
+      sys.active;
+    let p_drop = Matrix.init (q + 1) q (fun i j -> if j = i - 1 then 1.0 else 0.0) in
+    Matrix.set_block g ~row:0 ~col:n_stable (Matrix.kron_prod mu p_drop);
+    (* TS: transfer resolution Transfer(s, i) -> Stable(a, i-1) at
+       the extended rate chi-hat(s, a) (self-switch = big M), as
+       [R (x) N] with R(pos(s), a) the resolution rate and N the
+       level-preserving embedding. *)
+    let r = Matrix.create k s_count in
+    Array.iteri
+      (fun pos s -> Matrix.set r pos action (switch_out_rate sys s action))
+      sys.active;
+    let n_keep = Matrix.init q (q + 1) (fun i j -> if i = j then 1.0 else 0.0) in
+    Matrix.set_block g ~row:n_stable ~col:0 (Matrix.kron_prod r n_keep);
+    (* TT: arrivals within the transfer band. *)
+    Matrix.set_block g ~row:n_stable ~col:n_stable
+      (Matrix.kron_prod (Matrix.identity k) (arrival q))
+  end;
   (* Diagonal: negated exit rates, summed as [uniform_generator] sums
      a row, in column order: a stable row's two stable targets
      (arrival, switch) come before its transfer target (service), so
-     the expansion matches the direct build bitwise. *)
-  let n = num_states sys in
-  let d = Array.make n 0.0 in
+     the result matches the direct build bitwise. *)
   for kx = 0 to n - 1 do
-    match state_of_index sys kx with
-    | Stable (s, i) ->
-        let e = ref 0.0 in
-        if i < q then e := !e +. lam;
-        if action <> s then e := !e +. Service_provider.switch_rate sp s action;
-        if Service_provider.is_active sp s && i >= 1 then
-          e := !e +. Service_provider.service_rate sp s;
-        d.(kx) <- -. !e
-    | Transfer (s, i) ->
-        let e = ref 0.0 in
-        if i < q then e := !e +. lam;
-        e := !e +. switch_out_rate sys s action;
-        d.(kx) <- -. !e
+    let e =
+      match state_of_index sys kx with
+      | Stable (s, i) ->
+          let e = ref 0.0 in
+          if i < q then e := !e +. lam;
+          if action <> s then e := !e +. Service_provider.switch_rate sp s action;
+          if Service_provider.is_active sp s && i >= 1 then
+            e := !e +. Service_provider.service_rate sp s;
+          !e
+      | Transfer (s, i) ->
+          let e = ref 0.0 in
+          if i < q then e := !e +. lam;
+          e := !e +. switch_out_rate sys s action;
+          !e
+    in
+    Matrix.set g kx kx (-.e)
   done;
-  Operator.sum off (Operator.diag d)
+  g
 
 let pp_state sys ppf = function
   | Stable (s, i) ->

@@ -126,22 +126,20 @@ val generator_of_actions : t -> actions:(state -> int) -> Dpm_ctmc.Generator.t
 
 val uniform_generator : t -> action:int -> Matrix.t
 (** The generator under the uniform command [action], built directly
-    from {!transitions} — the reference for {!operator}. *)
+    from {!transitions} — the reference for {!tensor_generator}. *)
 
-val operator : t -> action:int -> Operator.t
-(** [operator sys ~action] is the SYS generator under the uniform
-    command [action] as a {e lazy} {!Dpm_linalg.Operator.t}: the
-    Section III tensor formula held as small SP/SQ factor blocks
-    (switch matrix, arrival superdiagonal, service and resolution
-    couplings) combined by Kronecker product/sum and a 2x2 block
-    grid, plus the exit-rate diagonal — O(|S|{^2} + Q) stored floats
-    against the O(|S| Q) nonzeros a materialized build stores, and no
-    permutation (the canonical state order is already tensor-ordered).
-    Any number of active modes is supported.  Expanding it with {!Dpm_linalg.Operator.to_dense}
-    reproduces {!uniform_generator}: bitwise, except for one ulp on
-    the diagonal of an active mode's stable rows under a switch-away
-    command, where the exit rates are summed in another order (pinned
-    by tests at 1e-12). *)
+val tensor_generator : t -> action:int -> Matrix.t
+(** [tensor_generator sys ~action] is the SYS generator under the
+    uniform command [action], built by the Section III tensor formula:
+    small SP/SQ factor blocks (switch matrix, arrival superdiagonal,
+    service and resolution couplings) combined by
+    {!Dpm_linalg.Matrix.kron_prod} and {!Dpm_linalg.Matrix.kron_sum}
+    into a 2x2 block grid, plus the exit-rate diagonal.  No
+    permutation is needed: the canonical state order is already
+    tensor-ordered.  Any number of active modes is supported.  The
+    result equals {!uniform_generator} bitwise (pinned by tests at
+    tolerance 0): the diagonal sums each row's exit rates in the
+    direct build's column order. *)
 
 val pp_state : t -> Format.formatter -> state -> unit
 (** E.g. [(active, q2)] or [(active, q3>2)]. *)

@@ -258,17 +258,20 @@ let check_reaches_ref ~ref_state m p =
     raise
       (Fallback (Unreachable_reference { unreached = n - !count; states = n }))
 
-module A1 = Bigarray.Array1
+(* Unchecked reads and writes of the float-array iterates: indices
+   come from the flattened rows, which are in range by construction. *)
+external fget : float array -> int -> float = "%array_unsafe_get"
+external fset : float array -> int -> float -> unit = "%array_unsafe_set"
 
 (* The policy's rows are flattened once into plain int/float arrays
    (O(n + nnz), with a counting sort for column access), and both
-   Gauss-Seidel stages sweep those arrays over Bigarray iterates, so a
-   sweep allocates nothing.  Stage 1 finds the stationary distribution
-   (gain = pi . c); stage 2 the bias from the system with the gain
-   known and [v_ref] pinned to 0, which restores weak diagonal
-   dominance — the M-matrix structure Gauss-Seidel is reliable on.
-   Acceptance is decided by verification against the exact
-   relative-value equations. *)
+   Gauss-Seidel stages sweep those arrays over flat float-array
+   iterates, so a sweep allocates nothing.  Stage 1 finds the
+   stationary distribution (gain = pi . c); stage 2 the bias from the
+   system with the gain known and [v_ref] pinned to 0, which restores
+   weak diagonal dominance — the M-matrix structure Gauss-Seidel is
+   reliable on.  Acceptance is decided by verification against the
+   exact relative-value equations. *)
 let evaluate_iterative_exn ~ref_state ~tol ~max_iter ~guard m p =
   let n = Model.num_states m in
   check_reaches_ref ~ref_state m p;
@@ -315,29 +318,36 @@ let evaluate_iterative_exn ~ref_state ~tol ~max_iter ~guard m p =
   done;
   let acc = ref 0.0 in
   (* Stage 1: stationary distribution of the policy chain -> gain. *)
-  let pi = Bvec.make n (1.0 /. float_of_int n) in
-  let prev = Bvec.create n in
+  let pi = Array.make n (1.0 /. float_of_int n) in
+  let prev = Array.make n 0.0 in
   let sweeps = ref 0 and change = ref infinity in
   while !change > tol && !sweeps < max_iter do
     (* One guard tick per sweep, so wall-clock deadlines and injected
        stalls abort a wedged evaluation mid-solve. *)
     guard ();
-    Bvec.blit ~src:pi ~dst:prev;
+    Array.blit pi 0 prev 0 n;
     for j = 0 to n - 1 do
       acc := 0.0;
       for e = rstart.(j) to rstart.(j + 1) - 1 do
         let i = rsrc.(e) in
-        if i <> j then acc := !acc +. (A1.unsafe_get pi i *. rrate.(e))
+        if i <> j then acc := !acc +. (fget pi i *. rrate.(e))
       done;
-      A1.unsafe_set pi j (!acc /. exit.(j))
+      fset pi j (!acc /. exit.(j))
     done;
-    let s = Bvec.sum pi in
-    if s = 0.0 || not (Float.is_finite s) then
-      raise (Fallback Degenerate_iterate);
-    Bvec.scale_inplace (1.0 /. s) pi;
     acc := 0.0;
     for i = 0 to n - 1 do
-      acc := !acc +. Float.abs (A1.unsafe_get pi i -. A1.unsafe_get prev i)
+      acc := !acc +. fget pi i
+    done;
+    let s = !acc in
+    if s = 0.0 || not (Float.is_finite s) then
+      raise (Fallback Degenerate_iterate);
+    let scale = 1.0 /. s in
+    for i = 0 to n - 1 do
+      fset pi i (scale *. fget pi i)
+    done;
+    acc := 0.0;
+    for i = 0 to n - 1 do
+      acc := !acc +. Float.abs (fget pi i -. fget prev i)
     done;
     change := !acc;
     incr sweeps
@@ -345,7 +355,7 @@ let evaluate_iterative_exn ~ref_state ~tol ~max_iter ~guard m p =
   if !change > tol then raise (Fallback Not_converged);
   let gain = ref 0.0 in
   for i = 0 to n - 1 do
-    gain := !gain +. (A1.unsafe_get pi i *. cost.(i))
+    gain := !gain +. (fget pi i *. cost.(i))
   done;
   let gain = !gain in
   (* Stage 2: the pinned bias system, rows normalized by their exit
@@ -357,7 +367,7 @@ let evaluate_iterative_exn ~ref_state ~tol ~max_iter ~guard m p =
      side: the bias can reach 1e4 on deep queues, putting the
      attainable floor near eps*|bias|.  Convergence here is advisory;
      acceptance is decided by the exact-system verification below. *)
-  let v = Bvec.create n in
+  let v = Array.make n 0.0 in
   let b_inf = ref 0.0 in
   for i = 0 to n - 1 do
     if i <> ref_state then
@@ -372,9 +382,9 @@ let evaluate_iterative_exn ~ref_state ~tol ~max_iter ~guard m p =
         acc := 0.0;
         for e = row_start.(i) to row_start.(i + 1) - 1 do
           let j = col.(e) in
-          if j <> ref_state then acc := !acc +. (rate.(e) *. A1.unsafe_get v j)
+          if j <> ref_state then acc := !acc +. (rate.(e) *. fget v j)
         done;
-        A1.unsafe_set v i ((cost.(i) -. gain +. !acc) /. exit.(i))
+        fset v i ((cost.(i) -. gain +. !acc) /. exit.(i))
       end
     done;
     let r = ref 0.0 in
@@ -383,12 +393,12 @@ let evaluate_iterative_exn ~ref_state ~tol ~max_iter ~guard m p =
         acc := 0.0;
         for e = row_start.(i) to row_start.(i + 1) - 1 do
           let j = col.(e) in
-          if j <> ref_state then acc := !acc +. (rate.(e) *. A1.unsafe_get v j)
+          if j <> ref_state then acc := !acc +. (rate.(e) *. fget v j)
         done;
         r :=
           Float.max !r
             (Float.abs
-               ((!acc +. cost.(i) -. gain -. (exit.(i) *. A1.unsafe_get v i))
+               ((!acc +. cost.(i) -. gain -. (exit.(i) *. fget v i))
                /. exit.(i)))
       end
     done;
@@ -408,9 +418,9 @@ let evaluate_iterative_exn ~ref_state ~tol ~max_iter ~guard m p =
     acc := 0.0;
     for e = row_start.(i) to row_start.(i + 1) - 1 do
       let j = col.(e) in
-      if j <> ref_state then acc := !acc +. (rate.(e) *. A1.unsafe_get v j)
+      if j <> ref_state then acc := !acc +. (rate.(e) *. fget v j)
     done;
-    let diag = if i = ref_state then 0.0 else exit.(i) *. A1.unsafe_get v i in
+    let diag = if i = ref_state then 0.0 else exit.(i) *. fget v i in
     verr := Float.max !verr (Float.abs (!acc -. diag -. gain +. cost.(i)))
   done;
   let bound = 1e-7 *. Float.max 1.0 !b_norm in
@@ -418,7 +428,7 @@ let evaluate_iterative_exn ~ref_state ~tol ~max_iter ~guard m p =
     raise (Fallback (Residual_too_large { residual = !verr; bound }));
   Dpm_trace.Provenance.note_residual !verr;
   let bias =
-    Vec.init n (fun j -> if j = ref_state then 0.0 else A1.unsafe_get v j)
+    Vec.init n (fun j -> if j = ref_state then 0.0 else fget v j)
   in
   { gain; bias }
 

@@ -101,7 +101,7 @@ val evaluate_iterative :
 (** Iterative evaluation without a fallback.  The policy's rows are
     flattened once into index/rate arrays, read straight off the
     [Model.choice] rate lists, and two Gauss-Seidel stages sweep them
-    over allocation-free Bigarray iterates: the stationary
+    over allocation-free flat float-array iterates: the stationary
     distribution first (gain = pi . c), then the bias from the system
     with [v_ref] pinned to 0, rows normalized by their exit rate.  A
     reverse reachability pass runs first, since the pinned system is

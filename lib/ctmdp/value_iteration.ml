@@ -1,5 +1,10 @@
 open Dpm_linalg
-module A1 = Bigarray.Array1
+
+(* Unchecked reads and writes of the float-array iterates: indices
+   come from the flattened choices, which are in range by
+   construction. *)
+external fget : float array -> int -> float = "%array_unsafe_get"
+external fset : float array -> int -> float -> unit = "%array_unsafe_set"
 
 type result = {
   policy : Policy.t;
@@ -25,7 +30,9 @@ let solve ?(tol = 1e-9) ?(max_iter = 1_000_000) ?init_values
   (* Strictly above the max exit rate so every state keeps a self-loop
      and the uniformized chain is aperiodic. *)
   let lam = if u = 0.0 then 1.0 else 1.05 *. u in
-  let v0 =
+  (* The iterate; both branches build a fresh vector, so it is swept
+     in place and returned as [values]. *)
+  let v =
     match init_values with
     | None -> Vec.create n
     | Some v0 ->
@@ -44,8 +51,9 @@ let solve ?(tol = 1e-9) ?(max_iter = 1_000_000) ?init_values
         Vec.init n (fun i -> v0.(i) -. offset)
   in
   (* The model's choices are flattened once into flat cost/rate
-     arrays and the sweeps run over two Bigarray buffers, so a sweep
-     allocates nothing. *)
+     arrays and the sweeps run over two flat float arrays.  [backup] is
+     inlined into its callers, so its float result is never boxed and
+     a sweep allocates nothing. *)
   let total_choices = ref 0 in
   let choice_start = Array.make (n + 1) 0 in
   for i = 0 to n - 1 do
@@ -79,15 +87,14 @@ let solve ?(tol = 1e-9) ?(max_iter = 1_000_000) ?init_values
         c.Model.rates
     done
   done;
-  let v = Bvec.of_vec v0 in
-  let next = Bvec.create n in
-  let backup c i =
+  let next = Array.make n 0.0 in
+  let[@inline] backup c i =
     (* c/L + v(i) + sum_j (r/L) (v(j) - v(i)), left to right. *)
-    let vi = A1.unsafe_get v i in
+    let vi = fget v i in
     let acc = ref ((ccost.(c) /. lam) +. vi) in
     for e = crow_start.(c) to crow_start.(c + 1) - 1 do
       acc :=
-        !acc +. (crate.(e) /. lam *. (A1.unsafe_get v ccol.(e) -. vi))
+        !acc +. (crate.(e) /. lam *. (fget v ccol.(e) -. vi))
     done;
     !acc
   in
@@ -102,11 +109,11 @@ let solve ?(tol = 1e-9) ?(max_iter = 1_000_000) ?init_values
       for c = c0 + 1 to choice_start.(i + 1) - 1 do
         best := Float.min !best (backup c i)
       done;
-      A1.unsafe_set next i !best
+      fset next i !best
     done;
     let lo = ref infinity and hi = ref neg_infinity in
     for i = 0 to n - 1 do
-      let d = A1.unsafe_get next i -. A1.unsafe_get v i in
+      let d = fget next i -. fget v i in
       lo := Float.min !lo d;
       hi := Float.max !hi d
     done;
@@ -114,9 +121,9 @@ let solve ?(tol = 1e-9) ?(max_iter = 1_000_000) ?init_values
     lower := lam *. !lo;
     upper := lam *. !hi;
     (* Keep values bounded by re-centering on state 0. *)
-    let offset = A1.unsafe_get next 0 in
+    let offset = fget next 0 in
     for i = 0 to n - 1 do
-      A1.unsafe_set v i (A1.unsafe_get next i -. offset)
+      fset v i (fget next i -. offset)
     done;
     incr iterations;
     if !hi -. !lo < tol then converged := true
@@ -142,7 +149,7 @@ let solve ?(tol = 1e-9) ?(max_iter = 1_000_000) ?init_values
     policy = Policy.of_choice_indices m greedy;
     gain_lower = lower;
     gain_upper = upper;
-    values = Bvec.to_vec v;
+    values = v;
     iterations;
     converged = !converged;
     provenance =

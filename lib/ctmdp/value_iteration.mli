@@ -46,4 +46,5 @@ val solve :
     no-op) is invoked before each sweep and may raise to abort — the
     [Dpm_robust] deadline hook.  The model's choices are flattened
     once into flat cost/rate arrays and every sweep runs over two
-    Bigarray buffers, so a sweep allocates nothing. *)
+    flat float arrays, so a sweep allocates nothing (pinned by a
+    test). *)

@@ -8,7 +8,7 @@ type t = {
   weight : float;
   dims : int array;
   strides : int array;  (* stride of each server's coordinate, server 0 major *)
-  op : Operator.t;
+  gen : Generator.t;
 }
 
 let max_states = 20_000
@@ -33,23 +33,28 @@ let build (d : Deploy.t) =
     Sys_model.generator_of_actions sys ~actions:(fun x ->
         s.Deploy.actions.(Sys_model.index sys x))
   in
-  let op =
-    Array.fold_left
-      (fun acc s ->
-        let g = Operator.dense (Generator.to_matrix (closed_loop s)) in
-        match acc with None -> Some g | Some a -> Some (Operator.kron_sum a g))
-      None servers
-    |> Option.get
-  in
-  { servers; weight = d.Deploy.spec.Spec.weight; dims; strides; op }
+  let locals = Array.map closed_loop servers in
+  (* The Kronecker sum, row by row: from joint state [x], server [i]
+     moves its own coordinate [a -> b] at its local rate and leaves the
+     others alone, which shifts the flat index by [(b - a) * stride].
+     Distinct (server, target) pairs give distinct targets, so no two
+     rates are merged. *)
+  let rates = ref [] in
+  for x = total - 1 downto 0 do
+    Array.iteri
+      (fun i g ->
+        let stride = strides.(i) in
+        let a = x / stride mod dims.(i) in
+        Generator.iter_row g a (fun b r ->
+            rates := (x, x + ((b - a) * stride), r) :: !rates))
+      locals
+  done;
+  let gen = Generator.of_rates ~dim:total !rates in
+  { servers; weight = d.Deploy.spec.Spec.weight; dims; strides; gen }
 
-let num_states t = Operator.rows t.op
+let num_states t = Generator.dim t.gen
 let dims t = Array.copy t.dims
-let operator t = t.op
-
-let stationary ?guard t =
-  let gen = Generator.of_matrix (Operator.to_dense t.op) in
-  Steady_state.solve ?guard gen
+let stationary ?guard t = Steady_state.solve ?guard t.gen
 
 let server_stationary (s : Deploy.server) =
   match s.Deploy.solution with

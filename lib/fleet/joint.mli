@@ -3,8 +3,9 @@
     For a fixed fully-active deployment, the per-server closed-loop
     chains are independent (Poisson thinning), so the exact joint
     generator is the Kronecker {e sum} of the per-server closed-loop
-    generators — assembled lazily through
-    {!Dpm_linalg.Operator.kron_sum} and solved flat.  The
+    generators — built row by row as a sparse {!Dpm_ctmc.Generator.t}
+    in O(n d) memory for [n] joint states whose servers' local
+    out-degrees sum to [d], and solved flat.  The
     hierarchical decomposition must agree with this joint solve
     exactly (up to solver tolerance): joint stationary = product of
     per-server marginals, joint gain = sum of per-server gains.
@@ -15,7 +16,8 @@ type t
 (** A built joint model over every server of a deployment. *)
 
 val max_states : int
-(** Joint state-space cap (the oracle solves dense). *)
+(** Joint state-space cap (the oracle builds and solves the flat
+    chain). *)
 
 val build : Deploy.t -> t
 (** [build d] assembles the joint generator of a deployment in which
@@ -29,13 +31,9 @@ val dims : t -> int array
 (** Per-server state-space sizes, server 0 major in the flat joint
     index. *)
 
-val operator : t -> Dpm_linalg.Operator.t
-(** The lazy Kronecker-sum joint generator. *)
-
 val stationary : ?guard:(unit -> unit) -> t -> Dpm_linalg.Vec.t
-(** Exact stationary distribution of the flat joint chain:
-    materializes the operator and runs the classified GTH solve
-    ({!Dpm_ctmc.Steady_state.solve}). *)
+(** Exact stationary distribution of the flat joint chain by the
+    classified banded GTH solve ({!Dpm_ctmc.Steady_state.solve}). *)
 
 val product_stationary : t -> Dpm_linalg.Vec.t
 (** The hierarchical prediction: the product of the per-server

@@ -53,6 +53,16 @@ let to_arrays m =
   Array.init m.rows (fun i -> Array.init m.cols (fun j -> get m i j))
 
 let copy m = { m with data = Array.copy m.data }
+
+let set_block m ~row ~col b =
+  if row < 0 || col < 0 || row + b.rows > m.rows || col + b.cols > m.cols then
+    invalid_arg
+      (Printf.sprintf "Matrix.set_block: %dx%d block at (%d,%d) outside %dx%d"
+         b.rows b.cols row col m.rows m.cols);
+  for i = 0 to b.rows - 1 do
+    Array.blit b.data (i * b.cols) m.data (((row + i) * m.cols) + col) b.cols
+  done
+
 let to_row_major m = Array.copy m.data
 let row m i = Array.init m.cols (fun j -> get m i j)
 let col m j = Array.init m.rows (fun i -> get m i j)
@@ -91,6 +101,46 @@ let mul a b =
           c.data.((i * c.cols) + j) <-
             c.data.((i * c.cols) + j) +. (aik *. b.data.((k * b.cols) + j))
         done
+    done
+  done;
+  c
+
+let kron_prod a b =
+  let c = create (a.rows * b.rows) (a.cols * b.cols) in
+  for i1 = 0 to a.rows - 1 do
+    for j1 = 0 to a.cols - 1 do
+      let x = a.data.((i1 * a.cols) + j1) in
+      for i2 = 0 to b.rows - 1 do
+        let row = ((i1 * b.rows) + i2) * c.cols in
+        for j2 = 0 to b.cols - 1 do
+          c.data.(row + (j1 * b.cols) + j2) <- x *. b.data.((i2 * b.cols) + j2)
+        done
+      done
+    done
+  done;
+  c
+
+(* A (x) I, then I (x) B added on top: the two terms overlap only on
+   the diagonal. *)
+let kron_sum a b =
+  if a.rows <> a.cols || b.rows <> b.cols then
+    invalid_arg "Matrix.kron_sum: factors must be square";
+  let na = a.rows and nb = b.rows in
+  let n = na * nb in
+  let c = create n n in
+  for ia = 0 to na - 1 do
+    for ja = 0 to na - 1 do
+      let x = a.data.((ia * na) + ja) in
+      for k = 0 to nb - 1 do
+        c.data.((((ia * nb) + k) * n) + (ja * nb) + k) <- x
+      done
+    done;
+    for ib = 0 to nb - 1 do
+      let row = ((ia * nb) + ib) * n in
+      for jb = 0 to nb - 1 do
+        let idx = row + (ia * nb) + jb in
+        c.data.(idx) <- c.data.(idx) +. b.data.((ib * nb) + jb)
+      done
     done
   done;
   c

@@ -47,6 +47,11 @@ val update : t -> int -> int -> (float -> float) -> unit
 val copy : t -> t
 (** [copy m] is a fresh matrix equal to [m]. *)
 
+val set_block : t -> row:int -> col:int -> t -> unit
+(** [set_block m ~row ~col b] overwrites the entries of [m] under [b]
+    placed with its top-left corner at [(row, col)] — one cell of a
+    block grid.  Raises [Invalid_argument] when [b] does not fit. *)
+
 val to_row_major : t -> float array
 (** [to_row_major m] is a fresh copy of the entries in row-major
     order: entry [(i, j)] sits at index [i * cols m + j].  The copy
@@ -79,6 +84,18 @@ val scale : float -> t -> t
 
 val mul : t -> t -> t
 (** [mul a b] is the matrix product [a * b]. *)
+
+val kron_prod : t -> t -> t
+(** [kron_prod a b] is the Kronecker product [a (x) b]
+    (Definition 4.4): with [b] of shape [n2 x m2], entry
+    [(i1*n2 + i2, j1*m2 + j2)] is [a(i1,j1) * b(i2,j2)] — the second
+    factor's index is minor. *)
+
+val kron_sum : t -> t -> t
+(** [kron_sum a b] is the Kronecker sum [a (x) I + I (x) b] of two
+    {e square} matrices ([Invalid_argument] otherwise).  Each entry is
+    the sum of its two terms, so an off-diagonal entry is exactly the
+    one factor entry it comes from. *)
 
 val mul_vec : t -> Vec.t -> Vec.t
 (** [mul_vec m v] is the matrix-vector product [m v]. *)

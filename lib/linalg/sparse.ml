@@ -9,8 +9,6 @@ type t = {
 type triplet = int * int * float
 
 let rows s = s.rows
-let cols s = s.cols
-let nnz s = Array.length s.values
 
 let of_triplets ~rows ~cols ts =
   if rows < 0 || cols < 0 then invalid_arg "Sparse.of_triplets: negative shape";
@@ -78,7 +76,7 @@ let with_diagonal s d =
   if s.rows <> s.cols then invalid_arg "Sparse.with_diagonal: not square";
   let n = s.rows in
   let row_start = Array.make (n + 1) 0 in
-  let len = nnz s + n in
+  let len = Array.length s.values + n in
   let col_index = Array.make len 0 and values = Array.make len 0.0 in
   let w = ref 0 in
   let put j x =

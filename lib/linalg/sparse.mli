@@ -19,9 +19,8 @@ val of_triplets : rows:int -> cols:int -> triplet list -> t
     row, then an insertion sort by column within each row).  Triplets
     with out-of-range coordinates raise [Invalid_argument]; duplicates
     are summed left to right in the order of [ts]; entries that sum to
-    exactly [0.] are kept out of the structure — they contribute
-    neither to {!nnz} nor to {!iter_row} (pinned by a regression
-    test). *)
+    exactly [0.] are kept out of the structure — {!iter} and
+    {!iter_row} never visit them (pinned by a regression test). *)
 
 val with_diagonal : t -> (int -> float) -> t
 (** [with_diagonal s d] is the square matrix [s] with entry [(i, i)]
@@ -37,12 +36,6 @@ val to_dense : t -> Matrix.t
 
 val rows : t -> int
 (** Number of rows. *)
-
-val cols : t -> int
-(** Number of columns. *)
-
-val nnz : t -> int
-(** Number of structurally stored entries. *)
 
 val get : t -> int -> int -> float
 (** [get s i j] is entry [(i, j)] ([0.] when not stored).  Cost is

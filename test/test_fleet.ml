@@ -167,6 +167,61 @@ let prop_hierarchical_matches_joint =
       in
       linf <= 1e-6 && gains && marginals_ok)
 
+(* Two paper-SP servers at Q = 17 (71 states each): 5,041 joint
+   states.  The joint generator is built as a sparse Kronecker sum, so
+   the build and the banded stationary solve allocate O(n b) words for
+   the half-bandwidth b of the chain's reverse Cuthill-McKee order
+   (b = 290 here; about 4.0 M words in all).  Expanding the Kronecker
+   sum densely would hold n^2 floats: 25.4 M words, 203 MB at this
+   size, and 3.2 GB at the 20,000-state cap. *)
+let joint_at_scale () =
+  let spec =
+    Spec.create ~weight:1.0 ~min_active:2
+      [
+        Spec.group ~name:"a" ~sp:(Paper_instance.service_provider ())
+          ~queue_capacity:17 ~count:2 ();
+      ]
+  in
+  let d = Deploy.resolve ~domains:1 spec ~total_rate:0.3 ~active:2 in
+  Alcotest.(check int) "every server solved" 0 (List.length d.Deploy.failures);
+  let before = Gc.allocated_bytes () in
+  let j = Joint.build d in
+  let pi = Joint.stationary j in
+  let words = (Gc.allocated_bytes () -. before) /. 8.0 in
+  let n = Joint.num_states j in
+  let locals =
+    Array.map
+      (fun (s : Deploy.server) ->
+        let sys = s.Deploy.sys in
+        Sys_model.generator_of_actions sys ~actions:(fun x ->
+            s.Deploy.actions.(Sys_model.index sys x)))
+      (Deploy.active_servers d)
+  in
+  let dims = Joint.dims j in
+  let strides = [| dims.(1); 1 |] in
+  let o =
+    Dpm_linalg.Band.rcm n (fun f ->
+        for x = 0 to n - 1 do
+          Array.iteri
+            (fun i g ->
+              let a = x / strides.(i) mod dims.(i) in
+              Dpm_ctmc.Generator.iter_row g a (fun b _ ->
+                  f x (x + ((b - a) * strides.(i)))))
+            locals
+        done)
+  in
+  (* Twice the band the stationary solve holds: n (2b + 1) floats. *)
+  let band = float_of_int (n * ((2 * o.Dpm_linalg.Band.half_bandwidth) + 1)) in
+  Alcotest.(check bool) "at least 5,000 joint states" true (n >= 5_000);
+  if words > 2.0 *. band then
+    Alcotest.failf "joint build and solve allocated %.0f words at %d states (budget %.0f)"
+      words n (2.0 *. band);
+  let prod = Joint.product_stationary j in
+  let linf = ref 0.0 in
+  Array.iteri (fun x p -> linf := Float.max !linf (Float.abs (p -. prod.(x)))) pi;
+  if !linf > 1e-6 then
+    Alcotest.failf "joint stationary differs from the product by %g" !linf
+
 (* --- domain-count bit-identity ----------------------------------- *)
 
 let cluster_domain_identity () =
@@ -472,6 +527,7 @@ let suite =
     t "spec validation and routing" `Quick spec_validation;
     prop_cluster_conservation;
     prop_hierarchical_matches_joint;
+    t "joint oracle at 5,041 states" `Quick joint_at_scale;
     t "cluster solve is domain-count bit-identical" `Quick
       cluster_domain_identity;
     t "fleet simulation is domain-count bit-identical" `Slow

@@ -169,13 +169,13 @@ let prop_sim_tracks_model =
            0.1
       end)
 
-(* The Section III tensor formula, held lazily by Sys_model.operator,
-   expands to the direct build for every action. *)
+(* The Section III tensor formula, Sys_model.tensor_generator, gives
+   the direct build for every action. *)
 let operator_matches_direct sys =
   let ok = ref true in
   for a = 0 to Service_provider.num_modes (Sys_model.sp sys) - 1 do
     let direct = Sys_model.uniform_generator sys ~action:a in
-    let kron = Operator.to_dense (Sys_model.operator sys ~action:a) in
+    let kron = Sys_model.tensor_generator sys ~action:a in
     if not (Matrix.approx_equal ~tol:1e-8 direct kron) then ok := false
   done;
   !ok

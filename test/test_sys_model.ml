@@ -145,8 +145,6 @@ let ctmdp_respects_constraints () =
 
 (* --- The Section III tensor formula vs the direct builder ---------- *)
 
-(* Sys_model.operator holds the formula as lazy Kronecker factors. *)
-
 let tensor_matches_direct () =
   List.iter
     (fun action ->
@@ -154,7 +152,7 @@ let tensor_matches_direct () =
         (fun q ->
           let s = sys ~q () in
           let direct = Sys_model.uniform_generator s ~action in
-          let tensor = Operator.to_dense (Sys_model.operator s ~action) in
+          let tensor = Sys_model.tensor_generator s ~action in
           if not (Matrix.approx_equal ~tol:0.0 direct tensor) then
             Alcotest.failf "action %d, Q=%d: tensor formula disagrees@.%a@.vs@.%a"
               action q Matrix.pp direct Matrix.pp tensor)

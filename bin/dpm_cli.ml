@@ -252,13 +252,11 @@ let validate_or_die sys ~no_validate =
    3 deadline-exceeded, 4 singular, 5 nonconvergent, 6 cycling,
    7 invalid-model, 8 non-finite — with 1 reserved for generic CLI
    failures and 2 for an infeasible constrained problem.  Exceptions
-   the taxonomy refuses (Out_of_memory, ...) keep unwinding. *)
-let die_on_solver_error exn =
-  match Dpm_robust.Error.of_exn exn with
-  | Some e ->
-      Format.eprintf "solve aborted: %a@." Dpm_robust.Error.pp e;
-      exit (Dpm_robust.Error.exit_code e)
-  | None -> raise exn
+   the taxonomy refuses (Out_of_memory, ...) keep unwinding out of
+   Dpm_robust.Guard.run. *)
+let die_on_solver_error e =
+  Format.eprintf "solve aborted: %a@." Dpm_robust.Error.pp e;
+  exit (Dpm_robust.Error.exit_code e)
 
 (* --- info ----------------------------------------------------------- *)
 
@@ -377,14 +375,16 @@ let solve_cmd =
     with_runtime runtime @@ fun () ->
     let sys = or_die (build_system device rate capacity) in
     validate_or_die sys ~no_validate;
-    let guard = Dpm_robust.Guard.of_deadline deadline in
-    match Optimize.solve ~weight ~guard sys with
-    | sol ->
+    match
+      Dpm_robust.Guard.run ~stage:"solve" ?deadline_s:deadline (fun guard ->
+          Optimize.solve ~weight ~guard sys)
+    with
+    | Ok sol ->
         print_solution sys sol;
         if provenance then
           print_endline
             (Dpm_trace.Provenance.to_json sol.Optimize.provenance)
-    | exception exn -> die_on_solver_error exn
+    | Error e -> die_on_solver_error e
   in
   Cmd.v
     (Cmd.info "solve"
@@ -1252,9 +1252,7 @@ let scenario_cmd =
        path), so the printed pair is its own sanity check. *)
     let report name describe model =
       match Solve.solve ?deadline_s:deadline model with
-      | Error e ->
-          Format.eprintf "solve aborted: %a@." Dpm_robust.Error.pp e;
-          exit (Dpm_robust.Error.exit_code e)
+      | Error e -> die_on_solver_error e
       | Ok s ->
           Format.printf "scenario: %s@." name;
           describe ();

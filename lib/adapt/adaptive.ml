@@ -14,6 +14,7 @@ type t = {
   min_observations : int;
   cooldown : float;
   deadline_s : float option;
+  faults : Dpm_robust.Fault.plan option;
   quantize : float -> float;
   mutable actions : int array;
   mutable last_attempt : float;
@@ -52,6 +53,7 @@ let create ?(weight = 0.0) ?estimator ?(min_observations = 30)
     min_observations;
     cooldown;
     deadline_s;
+    faults = Dpm_robust.Fault.of_env ();
     quantize;
     actions = solution.Optimize.actions;
     last_attempt = neg_infinity;
@@ -95,18 +97,13 @@ let maybe_adapt t ~now =
         if target <> t.stats.deployed_rate then begin
           t.stats.resolves <- t.stats.resolves + 1;
           Dpm_obs.Probe.incr "adapt.resolves";
-          let guard =
-            Dpm_robust.Guard.compose
-              [
-                Dpm_robust.Fault.guard_opt (Dpm_robust.Fault.of_env ());
-                Dpm_robust.Guard.of_deadline t.deadline_s;
-              ]
-          in
           match
-            Optimize.solve_at ~weight:t.weight ~init_actions:t.actions ~guard
-              t.sys ~arrival_rate:target
+            Dpm_robust.Guard.run ~stage:"adapt.resolve"
+              ?deadline_s:t.deadline_s ?faults:t.faults (fun guard ->
+                Optimize.solve ~weight:t.weight ~init_actions:t.actions ~guard
+                  (Sys_model.with_arrival_rate t.sys target))
           with
-          | Ok (_sys_at_target, solution) ->
+          | Ok solution ->
               t.actions <- solution.Optimize.actions;
               t.stats.deployed_rate <- target;
               t.stats.policy_switches <- t.stats.policy_switches + 1;

@@ -8,10 +8,11 @@
     Section III: an {!Estimator} watches the arrivals, and when the
     deployed rate leaves the estimate's confidence band the
     controller rebuilds the system at the estimated rate
-    ({!Dpm_core.Sys_model.with_arrival_rate}) and re-solves through
-    {!Dpm_core.Optimize.solve_at} — warm-started from the incumbent
-    policy, memoized by {!Dpm_cache.Solve_cache}, and guarded by the
-    [Dpm_robust] deadline/fault hooks.  A failed re-solve keeps the
+    ({!Dpm_core.Sys_model.with_arrival_rate}) and re-solves with
+    {!Dpm_core.Optimize.solve} inside {!Dpm_robust.Guard.run} —
+    warm-started from the incumbent policy, memoized by
+    {!Dpm_cache.Solve_cache}, and guarded by the deadline and fault
+    hooks.  A failed re-solve keeps the
     incumbent policy, so the controller degrades to a static one
     rather than stalling the simulation.
 
@@ -69,14 +70,16 @@ val create :
     - [cooldown] (default 100 simulated seconds): minimum time
       between re-solve {e attempts}, successful or not;
     - [deadline_s]: optional wall-clock budget per re-solve
-      ({!Dpm_robust.Guard.of_deadline}); an expired deadline is a
-      failed attempt, i.e. the incumbent stays;
+      ({!Dpm_robust.Guard.run}); an expired deadline is a failed
+      attempt, i.e. the incumbent stays;
     - [quantize] (default {!quantize_log}[ ~per_efold:16]): the
       rate-snapping function applied before solving.
 
-    Re-solves also tick the ambient fault plan
-    ({!Dpm_robust.Fault.of_env}), so [DPM_FAULTS=stall] exercises the
-    fallback path deterministically. *)
+    [create] reads the ambient fault plan once
+    ({!Dpm_robust.Fault.of_env}; a malformed [DPM_FAULTS] raises
+    [Invalid_argument] here) and every re-solve ticks it, so
+    [DPM_FAULTS=stall] exercises the fallback path
+    deterministically. *)
 
 val controller : ?name:string -> t -> Dpm_sim.Controller.t
 (** [controller t] wraps [t] as a simulator controller

@@ -79,13 +79,6 @@ let solve ?(weight = 0.0) ?init_actions ?guard sys =
 
 let action_of sys solution x = solution.actions.(Sys_model.index sys x)
 
-let solve_at ?weight ?init_actions ?guard sys ~arrival_rate =
-  let sys' = Sys_model.with_arrival_rate sys arrival_rate in
-  match solve ?weight ?init_actions ?guard sys' with
-  | solution -> Ok (sys', solution)
-  | exception ((Out_of_memory | Stack_overflow) as fatal) -> raise fatal
-  | exception exn -> Error exn
-
 let sweep_r ?domains ?guard ?(warm = true) sys ~weights =
   (* One policy-iteration solve per weight, fenced per grid point: a
      poisoned weight yields an [Error] slot while every other point
@@ -216,36 +209,44 @@ let constrained ?(w_lo = 0.0) ?(w_hi = 1024.0) ?(bisection_steps = 40) sys
     ~max_waiting_requests =
   if max_waiting_requests <= 0.0 then
     invalid_arg "Optimize.constrained: bound must be positive";
-  let feasible (s : solution) =
-    s.metrics.Analytic.avg_waiting_requests <= max_waiting_requests
+  (* A weight whose policy iteration does not converge counts as
+     infeasible: [find_hi] doubles past it and the bisection raises
+     [lo] past it, so only converged solutions are ever returned. *)
+  let feasible_solve w =
+    match solve ~weight:w sys with
+    | s when s.metrics.Analytic.avg_waiting_requests <= max_waiting_requests ->
+        Some s
+    | _ -> None
+    | exception Dpm_ctmdp.Solver_error.Nonconvergent _ ->
+        Dpm_obs.Probe.incr "optimize.constrained_skips";
+        None
   in
   (* Grow the upper weight until the delay bound is met. *)
   let rec find_hi w attempts =
-    let s = solve ~weight:w sys in
-    if feasible s then Some (w, s)
-    else if attempts = 0 then None
-    else find_hi (w *. 2.0) (attempts - 1)
+    match feasible_solve w with
+    | Some s -> Some (w, s)
+    | None -> if attempts = 0 then None else find_hi (w *. 2.0) (attempts - 1)
   in
   match find_hi w_hi 10 with
   | None -> None
-  | Some (hi0, s_hi) ->
-      let lo_solution = solve ~weight:w_lo sys in
-      if feasible lo_solution then Some lo_solution
-      else begin
-        (* Invariant: lo infeasible, hi feasible with solution best. *)
-        let rec bisect lo hi (best : solution) k =
-          if k = 0 then Some best
-          else begin
-            let mid = 0.5 *. (lo +. hi) in
-            let s = solve ~weight:mid sys in
-            if feasible s then
-              let best =
-                if s.metrics.Analytic.power < best.metrics.Analytic.power then s
-                else best
-              in
-              bisect lo mid best (k - 1)
-            else bisect mid hi best (k - 1)
-          end
-        in
-        bisect w_lo hi0 s_hi bisection_steps
-      end
+  | Some (hi0, s_hi) -> (
+      match feasible_solve w_lo with
+      | Some _ as lo_solution -> lo_solution
+      | None ->
+          (* Invariant: lo infeasible, hi feasible with solution best. *)
+          let rec bisect lo hi (best : solution) k =
+            if k = 0 then Some best
+            else begin
+              let mid = 0.5 *. (lo +. hi) in
+              match feasible_solve mid with
+              | Some s ->
+                  let best =
+                    if s.metrics.Analytic.power < best.metrics.Analytic.power
+                    then s
+                    else best
+                  in
+                  bisect lo mid best (k - 1)
+              | None -> bisect mid hi best (k - 1)
+            end
+          in
+          bisect w_lo hi0 s_hi bisection_steps)

@@ -51,25 +51,6 @@ val solve :
 val action_of : Sys_model.t -> solution -> Sys_model.state -> int
 (** Read a solution as a policy function. *)
 
-val solve_at :
-  ?weight:float ->
-  ?init_actions:int array ->
-  ?guard:(unit -> unit) ->
-  Sys_model.t ->
-  arrival_rate:float ->
-  (Sys_model.t * solution, exn) result
-(** [solve_at sys ~arrival_rate] rebuilds [sys] at a new arrival rate
-    ({!Sys_model.with_arrival_rate}) and runs {!solve} on it, with
-    failure containment: any solver exception (including a
-    [Dpm_robust] deadline or injected fault raised through [guard])
-    comes back as [Error] instead of propagating, so an online
-    re-optimizer can fall back to its incumbent policy.  Asynchronous
-    resource exhaustion ([Out_of_memory], [Stack_overflow]) is still
-    re-raised.  The returned system shares the state indexing of
-    [sys] — only rates change — so [init_actions] from a policy
-    solved at another rate is a valid warm start, and the returned
-    [actions] index into either system interchangeably. *)
-
 val sweep_r :
   ?domains:int ->
   ?guard:(unit -> unit) ->
@@ -156,5 +137,9 @@ val constrained :
     requests is at most the bound: it grows [w_hi] (default 1024,
     doubling up to 2^20) until feasible, then bisects [bisection_steps]
     times (default 40) and returns the cheapest feasible solution
-    seen.  [None] when even the largest weight cannot meet the bound
-    (the SP simply cannot keep up). *)
+    seen.  A weight whose policy iteration reaches its iteration cap
+    ({!Dpm_ctmdp.Solver_error.Nonconvergent}) counts as infeasible,
+    so the search steps past it and only converged solutions are
+    returned; each such weight is counted as
+    [optimize.constrained_skips].  [None] when even the largest
+    weight cannot meet the bound (the SP simply cannot keep up). *)

@@ -86,7 +86,8 @@ let solve m ~secondary ~bound =
   b.(bound_row) <- bound;
   match Simplex.minimize ~c ~a b with
   | Simplex.Infeasible -> None
-  | Simplex.Unbounded -> failwith "Constrained_lp.solve: unbounded (model bug?)"
+  | Simplex.Unbounded ->
+      raise (Solver_error.Lp_unbounded "Constrained_lp.solve: unbounded (model bug?)")
   | Simplex.Optimal { x; objective; dual } ->
       let mass = Array.map (fun vars -> Array.fold_left (fun acc v -> acc +. x.(v)) 0.0 vars) var_of in
       (* Lagrange multiplier: shadow price of the bound row.  With the

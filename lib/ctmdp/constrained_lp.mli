@@ -38,7 +38,8 @@ val solve :
 (** [solve m ~secondary ~bound] minimizes the model's cost subject to
     the stationary average of [secondary state choice_index] being at
     most [bound].  [None] when no stationary (possibly randomized)
-    policy meets the bound. *)
+    policy meets the bound; {!Solver_error.Lp_unbounded} when the LP
+    is unbounded (impossible for a well-formed model). *)
 
 val mixed_generator :
   Model.t -> float array array -> Dpm_ctmc.Generator.t * Dpm_linalg.Vec.t

@@ -49,7 +49,13 @@ let solve ?(max_iter = 1000) ?init m ~discount =
   check_discount discount;
   let rec loop iteration policy =
     if iteration > max_iter then
-      failwith "Discounted.solve: no convergence (model bug?)";
+      raise
+        (Solver_error.Nonconvergent
+           {
+             solver = "Discounted.solve";
+             iterations = max_iter;
+             residual = Float.nan;
+           });
     let values = evaluate m ~discount policy in
     let next = Policy.of_choice_indices m (greedy m ~discount values) in
     if Policy.equal next policy then { policy; values; iterations = iteration }

@@ -28,4 +28,5 @@ val evaluate : Model.t -> discount:float -> Policy.t -> Vec.t
 
 val solve : ?max_iter:int -> ?init:Policy.t -> Model.t -> discount:float -> result
 (** [solve m ~discount] runs discounted policy iteration to the exact
-    optimum (finite convergence).  [max_iter] defaults to 1000. *)
+    optimum (finite convergence).  [max_iter] defaults to 1000;
+    exceeding it raises {!Solver_error.Nonconvergent}. *)

@@ -152,7 +152,10 @@ type result = { policy : policy; gain : float; bias : Vec.t; iterations : int }
 let solve ?ref_state ?(max_iter = 1000) ?init m =
   let init = match init with Some p -> Array.copy p | None -> Array.make m.n 0 in
   let rec loop iteration p =
-    if iteration > max_iter then failwith "Dtmdp.solve: no convergence";
+    if iteration > max_iter then
+      raise
+        (Solver_error.Nonconvergent
+           { solver = "Dtmdp.solve"; iterations = max_iter; residual = Float.nan });
     let e = evaluate ?ref_state m p in
     let next, changed = improve m e ~incumbent:p in
     if changed = 0 then { policy = p; gain = e.gain; bias = e.bias; iterations = iteration }

@@ -64,4 +64,5 @@ val stationary_distribution : t -> policy -> Vec.t
 type result = { policy : policy; gain : float; bias : Vec.t; iterations : int }
 
 val solve : ?ref_state:int -> ?max_iter:int -> ?init:policy -> t -> result
-(** Average-cost policy iteration to a fixed point. *)
+(** Average-cost policy iteration to a fixed point.  [max_iter]
+    (default 1000) exhausted raises {!Solver_error.Nonconvergent}. *)

@@ -64,8 +64,10 @@ let solve ?(ref_state = 0) ?max_pivots ?guard m =
         Simplex.minimize ?max_pivots ?guard ~c ~a b)
   in
   match outcome with
-  | Simplex.Infeasible -> failwith "Lp_solver.solve: LP infeasible (model bug?)"
-  | Simplex.Unbounded -> failwith "Lp_solver.solve: LP unbounded (model bug?)"
+  | Simplex.Infeasible ->
+      raise (Solver_error.Lp_infeasible "Lp_solver.solve: LP infeasible (model bug?)")
+  | Simplex.Unbounded ->
+      raise (Solver_error.Lp_unbounded "Lp_solver.solve: LP unbounded (model bug?)")
   | Simplex.Optimal { x; objective; dual } ->
       let occupation =
         Array.init n (fun i -> Array.map (fun v -> x.(v)) var_of.(i))

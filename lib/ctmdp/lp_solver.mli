@@ -40,7 +40,8 @@ val solve :
     take the greedy action with respect to the recovered bias —
     exactly policy iteration's improvement rule, so the returned
     policy is average-cost optimal for unichain models.  Raises
-    [Failure] if the LP is infeasible or unbounded (impossible for a
+    {!Solver_error.Lp_infeasible} or {!Solver_error.Lp_unbounded}
+    if the LP is infeasible or unbounded (impossible for a
     well-formed model).  [max_pivots] and [guard] are forwarded to
     {!Dpm_linalg.Simplex.minimize}: exhausting the pivot budget twice
     (once under Dantzig pricing, once under the Bland anti-cycling

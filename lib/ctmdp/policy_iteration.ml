@@ -531,9 +531,13 @@ let solve ?(ref_state = 0) ?(max_iter = 1000) ?init ?(guard = fun () -> ()) m
   let rec loop iteration policy trace =
     guard ();
     if iteration > max_iter then
-      failwith
-        (Printf.sprintf "Policy_iteration.solve: no convergence after %d iterations"
-           max_iter);
+      raise
+        (Solver_error.Nonconvergent
+           {
+             solver = "Policy_iteration.solve";
+             iterations = max_iter;
+             residual = Float.nan;
+           });
     let evaluation =
       Dpm_obs.Probe.time "policy_iteration.eval_time_seconds" (fun () ->
           evaluate_routed order ~ref_state ~guard m policy)

@@ -150,8 +150,10 @@ val solve :
   result
 (** [solve m] runs policy iteration from [init] (default: each
     state's first choice) until the policy is stable.  [max_iter]
-    defaults to 1000; exceeding it raises [Failure] (it indicates a
-    modeling bug — PI must terminate on finite models).  The band
+    defaults to 1000; exceeding it raises
+    {!Solver_error.Nonconvergent} with [iterations = max_iter] (it
+    indicates a modeling bug or round-off cycling — PI must terminate
+    on finite models in exact arithmetic).  The band
     order is computed once per solve and serves every iteration.
     Each policy is evaluated by {!evaluate_robust} (banded LU) on
     models below 192 states and by {!evaluate_sparse} on larger ones;

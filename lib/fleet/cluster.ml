@@ -148,8 +148,11 @@ let solve ?domains ?guard spec ~load =
   let results =
     Dpm_par.parallel_map ?domains
       (fun ((g, bits) as key) ->
-        (key, Optimize.solve_at ~weight ?guard bases.(g)
-                ~arrival_rate:(Int64.float_of_bits bits)))
+        ( key,
+          Dpm_robust.Guard.run ~stage:"fleet.cluster" (fun _ ->
+              Optimize.solve ~weight ?guard
+                (Sys_model.with_arrival_rate bases.(g)
+                   (Int64.float_of_bits bits))) ))
       jobs
   in
   let solved = Hashtbl.create 97 in
@@ -157,11 +160,8 @@ let solve ?domains ?guard spec ~load =
   Array.iter
     (fun ((g, bits), res) ->
       match res with
-      | Ok (_, sol) -> Hashtbl.replace solved (g, bits) sol
-      | Error exn -> (
-          match Dpm_robust.Error.of_exn exn with
-          | Some e -> failures := ((g, Int64.float_of_bits bits), e) :: !failures
-          | None -> raise exn))
+      | Ok sol -> Hashtbl.replace solved (g, bits) sol
+      | Error e -> failures := ((g, Int64.float_of_bits bits), e) :: !failures)
     results;
   let failures = List.rev !failures in
   (* Per-cell tables: weighted stay cost, electrical power, mean

@@ -42,7 +42,11 @@ let resolve ?domains ?guard ?prev spec ~total_rate ~active =
     Dpm_par.parallel_map ?domains
       (fun (i, rate) ->
         let g = Spec.group_of_server spec i in
-        (i, rate, Optimize.solve_at ~weight ?guard bases.(g) ~arrival_rate:rate))
+        ( i,
+          rate,
+          Dpm_robust.Guard.run ~stage:"fleet.deploy" (fun _ ->
+              let sys = Sys_model.with_arrival_rate bases.(g) rate in
+              (sys, Optimize.solve ~weight ?guard sys)) ))
       jobs
   in
   let failures = ref [] in
@@ -55,12 +59,7 @@ let resolve ?domains ?guard ?prev spec ~total_rate ~active =
             Some
               { server = i; group = Spec.group_of_server spec i; sys;
                 actions = sol.Optimize.actions; solution = Some sol; fresh = true }
-      | Error exn -> (
-          let err =
-            match Dpm_robust.Error.of_exn exn with
-            | Some e -> e
-            | None -> raise exn
-          in
+      | Error err -> (
           failures := (i, err) :: !failures;
           match prev with
           | Some p when i < Array.length p.servers && p.servers.(i) <> None ->

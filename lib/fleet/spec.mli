@@ -101,8 +101,8 @@ val server_rate : t -> total_rate:float -> active:int -> server:int -> float
 
 val base_system : t -> int -> Sys_model.t
 (** [base_system t g] is the composed SYS of group [g] at a
-    placeholder arrival rate of 1 — feed it to
-    {!Dpm_core.Optimize.solve_at} with the routed rate. *)
+    placeholder arrival rate of 1 — rebuild it at the routed rate
+    with {!Dpm_core.Sys_model.with_arrival_rate} before solving. *)
 
 val max_power : t -> int -> float
 (** [max_power t g] is the largest mode power of group [g]'s SP —

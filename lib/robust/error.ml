@@ -7,6 +7,7 @@ type t =
   | Non_finite of string
 
 exception Deadline_signal of { budget_s : float; elapsed_s : float }
+exception Non_finite_signal of string
 
 let pp ppf = function
   | Singular -> Format.pp_print_string ppf "singular linear system"
@@ -48,50 +49,23 @@ let class_name = function
   | Deadline_exceeded _ -> "deadline-exceeded"
   | Non_finite _ -> "non-finite"
 
-(* First integer embedded in a message — recovers the iteration count
-   from [Failure "...: no convergence after %d iterations"]. *)
-let first_int msg =
-  let n = String.length msg in
-  let rec start i =
-    if i >= n then None
-    else if msg.[i] >= '0' && msg.[i] <= '9' then Some i
-    else start (i + 1)
-  in
-  match start 0 with
-  | None -> None
-  | Some i ->
-      let j = ref i in
-      while !j < n && msg.[!j] >= '0' && msg.[!j] <= '9' do
-        incr j
-      done;
-      int_of_string_opt (String.sub msg i (!j - i))
-
-let contains ~sub msg =
-  let n = String.length msg and m = String.length sub in
-  let rec go i = i + m <= n && (String.sub msg i m = sub || go (i + 1)) in
-  m = 0 || go 0
-
-let of_failure msg =
-  if contains ~sub:"convergence" msg || contains ~sub:"converge" msg then
-    Nonconvergent
-      {
-        iterations = Option.value ~default:0 (first_int msg);
-        residual = Float.nan;
-      }
-  else if contains ~sub:"infeasible" msg then
-    Invalid_model [ Diagnostic.error ~code:"lp-infeasible" ~site:"lp" msg ]
-  else if contains ~sub:"unbounded" msg then
-    Invalid_model [ Diagnostic.error ~code:"lp-unbounded" ~site:"lp" msg ]
-  else Invalid_model [ Diagnostic.error ~code:"failure" ~site:"solver" msg ]
-
 let of_exn = function
   (* Never swallow runtime-fatal conditions: the caller must see
      these, not a typed solver error. *)
   | Out_of_memory | Stack_overflow | Assert_failure _ | Sys.Break -> None
   | Deadline_signal { budget_s; elapsed_s } ->
       Some (Deadline_exceeded { budget_s; elapsed_s })
+  | Non_finite_signal site -> Some (Non_finite site)
   | Dpm_linalg.Lu.Singular _ -> Some Singular
   | Dpm_linalg.Simplex.Cycling _ -> Some Cycling
+  | Dpm_ctmdp.Solver_error.Nonconvergent { iterations; residual; _ } ->
+      Some (Nonconvergent { iterations; residual })
+  | Dpm_ctmdp.Solver_error.Lp_infeasible msg ->
+      Some
+        (Invalid_model [ Diagnostic.error ~code:"lp-infeasible" ~site:"lp" msg ])
+  | Dpm_ctmdp.Solver_error.Lp_unbounded msg ->
+      Some
+        (Invalid_model [ Diagnostic.error ~code:"lp-unbounded" ~site:"lp" msg ])
   | Dpm_ctmc.Generator.Invalid msg ->
       Some
         (Invalid_model
@@ -104,7 +78,9 @@ let of_exn = function
       Some
         (Invalid_model
            [ Diagnostic.error ~code:"invalid-argument" ~site:"model" msg ])
-  | Failure msg -> Some (of_failure msg)
+  | Failure msg ->
+      Some
+        (Invalid_model [ Diagnostic.error ~code:"failure" ~site:"solver" msg ])
   | exn ->
       Some
         (Invalid_model

@@ -1,11 +1,13 @@
 (** The typed failure taxonomy of the robustness layer.
 
-    Every [solve_r] entry point of {!Dpm_robust} returns
-    [('a, Error.t) result]: the raising core stays as it is (see
-    DESIGN.md — rewriting the solvers in result style would double
-    every signature for failure paths that occur on no well-formed
-    model), and this layer maps the exceptions that {e can} escape it
-    onto a closed sum a caller can actually match on. *)
+    The solvers raise a typed exception where they fail
+    ([Lu.Singular], [Simplex.Cycling], {!Dpm_ctmdp.Solver_error},
+    [Steady_state.Not_irreducible], the two guard signals below), and
+    {!Guard.run} fences a solve, mapping whatever escapes it through
+    {!of_exn} onto a closed sum a caller can match on.  The core keeps
+    raising (DESIGN.md decision 10): rewriting the solvers in result
+    style would double every signature for failure paths that occur
+    on no well-formed model. *)
 
 type t =
   | Singular
@@ -13,10 +15,10 @@ type t =
           the solver's own retry ladders (policy evaluation exhausted
           its Tikhonov rungs, Padé re-scaling still singular, ...) *)
   | Nonconvergent of { iterations : int; residual : float }
-      (** an iterative solve spent its budget; [residual] is the
-          final convergence measure ([gain_upper - gain_lower] for
-          value iteration, sweep residual for steady-state sweeps,
-          NaN when the raising core reported no measure) *)
+      (** an iteration budget ran out
+          ({!Dpm_ctmdp.Solver_error.Nonconvergent}); [residual] is the
+          solver's final convergence measure, NaN when it has none
+          (the policy-improvement loops) *)
   | Cycling
       (** the simplex exhausted its pivot budget twice — once under
           Dantzig pricing and once under the automatic Bland
@@ -26,26 +28,31 @@ type t =
           violations are listed, not just the first *)
   | Deadline_exceeded of { budget_s : float; elapsed_s : float }
       (** the per-solve wall-clock budget fired (see
-          {!Guard.deadline}) *)
+          {!Guard.of_deadline}) *)
   | Non_finite of string
       (** a NaN/Inf appeared at the named stage boundary (e.g.
           ["policy_iteration.bias"]) *)
 
 exception Deadline_signal of { budget_s : float; elapsed_s : float }
-(** Raised by {!Guard.deadline} ticks inside solver loops; {!of_exn}
+(** Raised by {!Guard.of_deadline} ticks inside solver loops; {!of_exn}
     maps it to {!Deadline_exceeded}.  Defined here (not in [Guard])
     so the mapping does not create a module cycle. *)
+
+exception Non_finite_signal of string
+(** Raised by {!Guard.check_finite} and {!Guard.check_finite_vec}
+    with the failing site; {!of_exn} maps it to {!Non_finite}. *)
 
 val of_exn : exn -> t option
 (** Map an escaped exception onto the taxonomy.  [None] means "do not
     catch": [Out_of_memory], [Stack_overflow], [Assert_failure] and
-    [Sys.Break] must keep unwinding.  Everything else maps: LU
-    singularity, simplex cycling, generator/model validation
-    exceptions, [Failure] messages mentioning convergence (the
-    iteration count is parsed back out), LP infeasibility, deadline
-    signals; genuinely unknown exceptions become
-    [Invalid_model [unexpected-exception]] rather than escaping a
-    [solve_r]. *)
+    [Sys.Break] must keep unwinding.  Everything else maps, by
+    constructor: the deadline and non-finite signals, LU singularity,
+    simplex cycling, solver non-convergence (iterations and residual
+    carried over), LP infeasibility and unboundedness (codes
+    [lp-infeasible] and [lp-unbounded]), generator/model validation
+    exceptions; a [Failure] is the generic [failure] diagnostic, and
+    any other exception becomes [Invalid_model [unexpected-exception]]
+    rather than escaping {!Guard.run}. *)
 
 val pp : Format.formatter -> t -> unit
 (** One-line rendering, e.g.

@@ -167,16 +167,12 @@ let corrupt_matrix plan m =
 
 let stall_seconds = 0.002
 
-let guard plan =
-  if not (has plan Stall) then Guard.none
-  else fun () ->
-    injected Stall;
-    (* Busy-wait: a deterministic per-tick time sink that makes any
-       iteration budget meaningless — exactly what a deadline guard
-       must catch.  [Probe.now] is the same clock the deadline reads. *)
-    let t0 = Dpm_obs.Probe.now () in
-    while Dpm_obs.Probe.now () -. t0 < stall_seconds do
-      ()
-    done
-
-let guard_opt = function Some p -> guard p | None -> Guard.none
+let stall () =
+  injected Stall;
+  (* Busy-wait: a deterministic per-tick time sink that makes any
+     iteration budget meaningless — exactly what a deadline guard
+     must catch.  [Probe.now] is the same clock the deadline reads. *)
+  let t0 = Dpm_obs.Probe.now () in
+  while Dpm_obs.Probe.now () -. t0 < stall_seconds do
+    ()
+  done

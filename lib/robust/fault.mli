@@ -70,12 +70,10 @@ val corrupt_matrix : plan -> Matrix.t -> Matrix.t
 (** Apply the plan's matrix-level corruptions to a copy (the
     choice-level and stall kinds are ignored here). *)
 
-val guard : plan -> unit -> unit
-(** The plan's guard hook: with {!Stall} in the plan, every tick
-    busy-waits ~2ms (counted per tick); otherwise {!Guard.none}. *)
-
-val guard_opt : plan option -> unit -> unit
-(** [guard] on [Some], {!Guard.none} on [None]. *)
+val stall : unit -> unit
+(** One guard tick of {!Stall}: busy-waits {!stall_seconds}, counted
+    as [fault.injected.stall].  {!Guard.run} ticks it when its plan
+    has {!Stall}. *)
 
 val stall_seconds : float
 (** The per-tick busy-wait of {!Stall} (0.002). *)

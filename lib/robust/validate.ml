@@ -132,8 +132,9 @@ let model m =
 let model_r ~num_states choices_of =
   Dpm_obs.Probe.time "robust.validate_seconds" @@ fun () ->
   match Diagnostic.errors (choices ~num_states choices_of) with
-  | [] -> Guard.run ~stage:"model-build" (fun () ->
-        Dpm_ctmdp.Model.create ~num_states choices_of)
+  | [] ->
+      Guard.run ~stage:"model-build" (fun _ ->
+          Dpm_ctmdp.Model.create ~num_states choices_of)
   | errs ->
       Dpm_obs.Probe.incr "robust.models_rejected";
       Error (Error.Invalid_model errs)

@@ -23,15 +23,28 @@ let solve ?deadline_s model =
         {
           result.Dpm_ctmdp.Policy_iteration.provenance with
           Dpm_trace.Provenance.wall_s = Dpm_obs.Probe.now () -. t0;
+          deadline_s;
         };
     }
   in
   match Dpm_cache.Solve_cache.find ~key model with
   | Some (result, _) -> Ok (finish result)
   | None -> (
-      match Dpm_robust.Policy_iteration.solve_r ?deadline_s model with
-      | Error _ as e -> e
-      | Ok result -> Ok (finish (Dpm_cache.Solve_cache.store ~key model result)))
+      (* Validation first: it catches what [Model.map_costs], which
+         skips re-validation by design, can smuggle in (NaN costs). *)
+      match Dpm_robust.Diagnostic.errors (Dpm_robust.Validate.model model) with
+      | _ :: _ as errs ->
+          Dpm_obs.Probe.incr "robust.models_rejected";
+          Error (Dpm_robust.Error.Invalid_model errs)
+      | [] ->
+          Dpm_robust.Guard.run ~stage:"policy_iteration" ?deadline_s
+            (fun guard ->
+              let result = Dpm_ctmdp.Policy_iteration.solve ~guard model in
+              Dpm_robust.Guard.check_finite ~site:"policy_iteration.gain"
+                result.Dpm_ctmdp.Policy_iteration.gain;
+              Dpm_robust.Guard.check_finite_vec ~site:"policy_iteration.bias"
+                result.Dpm_ctmdp.Policy_iteration.bias;
+              finish (Dpm_cache.Solve_cache.store ~key model result)))
 
 let sweep ?domains ?deadline_s ~weights build =
   (* Fenced per grid point like [Optimize.sweep_r]: [solve] already

@@ -2,8 +2,8 @@
 
     The scenario builders ({!Phased}, {!Polling}, {!Batching}) all
     compile to a plain {!Dpm_ctmdp.Model.t}, so one driver covers
-    them: validation and guarded policy iteration through
-    [Dpm_robust.Policy_iteration.solve_r], memoization through the
+    them: validation and policy iteration fenced by
+    [Dpm_robust.Guard.run], memoization through the
     process-wide [Dpm_cache.Solve_cache] (keyed on the structural
     fingerprint, so e.g. an Erlang-1 phased model and its base system
     share one entry), and provenance enriched with the model hash and
@@ -28,10 +28,13 @@ val solve :
   ?deadline_s:float ->
   Dpm_ctmdp.Model.t ->
   (solution, Dpm_robust.Error.t) result
-(** Validate, look up the cache, otherwise run guarded policy
-    iteration (under the optional wall-clock budget) and memoize.
-    All failures arrive as the robustness layer's typed errors —
-    nothing raises but runtime-fatal exceptions. *)
+(** Look up the cache; on a miss, validate ([Dpm_robust.Validate.model],
+    every finding reported as [Invalid_model], counted as
+    [robust.models_rejected]), run policy iteration under the optional
+    wall-clock budget, scan gain and bias for NaN/Inf and memoize.
+    The provenance records [deadline_s].  All failures arrive as the
+    robustness layer's typed errors — nothing raises but
+    runtime-fatal exceptions. *)
 
 val sweep :
   ?domains:int ->

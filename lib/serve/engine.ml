@@ -131,9 +131,8 @@ let create ?(weight = 0.0) ?estimator ?(min_observations = 30)
     }
   in
   let cold_start () =
-    let guard = Dpm_robust.Fault.guard_opt faults in
     match
-      Dpm_robust.Guard.run ~stage:"serve.cold_solve" (fun () ->
+      Dpm_robust.Guard.run ~stage:"serve.cold_solve" ?faults (fun guard ->
           Optimize.solve ~weight ~guard sys)
     with
     | Ok solution ->
@@ -292,18 +291,13 @@ let attempt_resolve t ~target =
   t.resolves_count <- t.resolves_count + 1;
   Dpm_obs.Probe.incr "serve.resolves";
   Dpm_obs.Probe.set "serve.target_rate" target;
-  let guard =
-    Dpm_robust.Guard.compose
-      [
-        Dpm_robust.Fault.guard_opt t.faults;
-        Dpm_robust.Guard.of_deadline t.deadline_s;
-      ]
-  in
   match
-    Optimize.solve_at ~weight:t.weight ~init_actions:t.actions ~guard t.sys
-      ~arrival_rate:target
+    Dpm_robust.Guard.run ~stage:"serve.resolve" ?deadline_s:t.deadline_s
+      ?faults:t.faults (fun guard ->
+        Optimize.solve ~weight:t.weight ~init_actions:t.actions ~guard
+          (Sys_model.with_arrival_rate t.sys target))
   with
-  | Ok (_sys_at_target, solution) ->
+  | Ok solution ->
       t.actions <- solution.Optimize.actions;
       t.deployed_rate <- target;
       t.policy_switches_count <- t.policy_switches_count + 1;
@@ -321,17 +315,13 @@ let attempt_resolve t ~target =
       Dpm_obs.Probe.set "serve.deployed_rate" target;
       trace_resolve ~outcome:"deployed" ~now:t.now ~rate:target
         ~extra:(fun () -> Dpm_trace.Provenance.to_args provenance)
-  | Error exn ->
+  | Error e ->
       t.resolve_failures_count <- t.resolve_failures_count + 1;
-      t.last_error <- Dpm_robust.Error.of_exn exn;
+      t.last_error <- Some e;
       Backoff.note_failure t.backoff;
       Health.apply t.health Health.Resolve_failed ~now:t.now;
       Dpm_obs.Probe.incr "serve.resolve_failures";
-      let cls =
-        match t.last_error with
-        | Some e -> Dpm_robust.Error.class_name e
-        | None -> "unknown"
-      in
+      let cls = Dpm_robust.Error.class_name e in
       Log.warn (fun m ->
           m "re-solve at rate %g failed (%s); %s, retry backoff %gs" target cls
             (Health.state_to_string (Health.state t.health))

@@ -16,9 +16,9 @@
       be trusted: the engine never refuses a query;
     - exponential {!Backoff} with jitter spacing retries after
       failures, on top of the drift cooldown;
-    - a watchdog deadline ([deadline_s], enforced through the solver
-      [?guard] hooks and composed with {!Dpm_robust.Fault} injection)
-      that aborts wedged re-solves;
+    - a watchdog deadline ([deadline_s], enforced by
+      {!Dpm_robust.Guard.run} through the solver [?guard] hooks, with
+      {!Dpm_robust.Fault} injection) that aborts wedged re-solves;
     - a bounded ingestion queue ({!Bqueue}) with drop accounting;
     - periodic atomic {!Checkpoint}s and crash recovery on restart.
 
@@ -88,7 +88,8 @@ val offer_arrival : t -> at:float -> bool
 val pump : t -> unit
 (** Drain the ingestion queue: fold each arrival into the estimator,
     advance the engine clock, and run the re-solve schedule (drift
-    gate, cooldown + backoff, guarded [solve_at], health transition,
+    gate, cooldown + backoff, re-solve fenced by
+    {!Dpm_robust.Guard.run}, health transition,
     periodic checkpoint).  Call before reading answers that should
     reflect all offered events. *)
 

@@ -359,13 +359,23 @@ let chaos_incumbent_survives () =
         | Some p -> p
         | None -> Alcotest.fail "DPM_FAULTS not picked up"
       in
-      let guard =
-        Dpm_robust.Guard.compose
-          [ Dpm_robust.Fault.guard plan;
-            Dpm_robust.Guard.deadline ~seconds:0.0 ]
+      (* The fence hands each resolve the plan's stall composed with
+         an expired deadline; [Deploy.resolve] fences every server
+         itself, so nothing escapes to this outer one. *)
+      let under_faults f =
+        match
+          Dpm_robust.Guard.run ~stage:"fleet.chaos" ~faults:plan
+            ~deadline_s:0.0 f
+        with
+        | Ok d -> d
+        | Error e ->
+            Alcotest.failf "a failure escaped Deploy.resolve: %s"
+              (Dpm_robust.Error.to_string e)
       in
       let d =
-        Deploy.resolve ~domains:1 ~guard ~prev spec ~total_rate:1.1 ~active:3
+        under_faults (fun guard ->
+            Deploy.resolve ~domains:1 ~guard ~prev spec ~total_rate:1.1
+              ~active:3)
       in
       (* Typed tally: every active server failed, all with deadline
          class. *)
@@ -397,7 +407,8 @@ let chaos_incumbent_survives () =
       (* Without an incumbent the fallback is always-on, never a
          crash. *)
       let d2 =
-        Deploy.resolve ~domains:1 ~guard spec ~total_rate:1.1 ~active:3
+        under_faults (fun guard ->
+            Deploy.resolve ~domains:1 ~guard spec ~total_rate:1.1 ~active:3)
       in
       Alcotest.(check int) "fallbacks tallied too" 3
         (List.length d2.Deploy.failures);

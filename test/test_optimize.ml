@@ -124,6 +124,52 @@ let constrained_infeasible_returns_none () =
   Test_util.check_raises_invalid "bad bound" (fun () ->
       ignore (Optimize.constrained s ~max_waiting_requests:0.0))
 
+(* A random paper-SP instance (Q = 39, about 1.16 times the paper's
+   arrival rate) on which policy iteration still reaches its
+   1000-iteration cap at [w_cycle]: the big-M self-switch rounding
+   that makes gains rise between iterations.  Each configuration
+   below makes the constrained search solve at [w_cycle] — as its
+   [w_lo], as its first [w_hi], and as the first bisection midpoint of
+   [0, 2 w_cycle] — where one cycling weight used to abort the whole
+   search. *)
+let w_cycle = 0.071785881573764726
+
+let constrained_skips_nonconvergent_weight () =
+  let s =
+    Sys_model.create ~sp:(Paper_instance.service_provider ())
+      ~queue_capacity:39 ~arrival_rate:0.19351941714613252 ()
+  in
+  (match
+     Dpm_ctmdp.Policy_iteration.solve (Sys_model.to_ctmdp s ~weight:w_cycle)
+   with
+  | _ -> Alcotest.fail "the pinned instance converges; pin a cycling one"
+  | exception Dpm_ctmdp.Solver_error.Nonconvergent { iterations; _ } ->
+      Alcotest.(check int) "cap reached" 1000 iterations);
+  let bound = 3.0 in
+  List.iter
+    (fun (name, w_lo, w_hi) ->
+      let r, reg =
+        Test_util.with_registry (fun () ->
+            Optimize.constrained ?w_lo ?w_hi s ~max_waiting_requests:bound)
+      in
+      match r with
+      | None -> Alcotest.failf "%s: no feasible solution" name
+      | Some sol ->
+          Alcotest.(check bool)
+            (name ^ ": feasible") true
+            (sol.Optimize.metrics.Analytic.avg_waiting_requests <= bound);
+          Alcotest.(check bool)
+            (name ^ ": converged") true
+            (sol.Optimize.iterations < 1000);
+          Alcotest.(check bool)
+            (name ^ ": skip counted") true
+            (Test_util.counter reg "optimize.constrained_skips" >= 1))
+    [
+      ("w_lo", Some w_cycle, None);
+      ("w_hi", None, Some w_cycle);
+      ("midpoint", Some 0.0, Some (2.0 *. w_cycle));
+    ]
+
 let action_of_reads_solution () =
   let s = sys () in
   let sol = Optimize.solve ~weight:1.0 s in
@@ -152,6 +198,8 @@ let suite =
     t "constrained meets bound" `Quick constrained_meets_bound;
     t "constrained monotone" `Quick constrained_tighter_bound_costs_more;
     t "constrained infeasible" `Quick constrained_infeasible_returns_none;
+    t "constrained skips a weight that does not converge" `Quick
+      constrained_skips_nonconvergent_weight;
     t "action_of" `Quick action_of_reads_solution;
     t "default weights" `Quick default_weights_shape;
   ]

@@ -322,7 +322,8 @@ let solve_deadline_covers_iterative_eval () =
   in
   let r, reg =
     Test_util.with_registry (fun () ->
-        Dpm_robust.Guard.run (fun () -> Policy_iteration.solve ~guard m))
+        Dpm_robust.Guard.run ~stage:"policy_iteration" (fun _ ->
+            Policy_iteration.solve ~guard m))
   in
   (match r with
   | Ok _ -> Alcotest.fail "deadline ignored by the iterative route"

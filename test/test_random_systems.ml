@@ -170,13 +170,13 @@ let prop_sim_tracks_model =
       end)
 
 (* The Section III tensor formula, Sys_model.tensor_generator, gives
-   the direct build for every action. *)
+   the direct build bit for bit, for every action. *)
 let operator_matches_direct sys =
   let ok = ref true in
   for a = 0 to Service_provider.num_modes (Sys_model.sp sys) - 1 do
     let direct = Sys_model.uniform_generator sys ~action:a in
     let kron = Sys_model.tensor_generator sys ~action:a in
-    if not (Matrix.approx_equal ~tol:1e-8 direct kron) then ok := false
+    if not (Matrix.approx_equal ~tol:0.0 direct kron) then ok := false
   done;
   !ok
 

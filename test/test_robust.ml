@@ -26,58 +26,87 @@ let two_orbit_model () =
 
 let paper_model () = Sys_model.to_ctmdp (Paper_instance.system ()) ~weight:1.0
 
-let code_of_error = function
-  | Error.Invalid_model ds ->
-      List.map (fun d -> d.Diagnostic.code) (Diagnostic.errors ds)
-  | _ -> []
+(* The one fence, as every guarded solve in the program runs it. *)
+let fenced ?deadline_s ?faults f = Guard.run ~stage:"test" ?deadline_s ?faults f
 
 (* --- taxonomy ------------------------------------------------------- *)
 
-(* Structural equality with NaN-tolerant residuals; plain [<>] would
-   reject matching Nonconvergent payloads because nan <> nan. *)
-let error_equal a b =
-  match (a, b) with
-  | ( Error.Nonconvergent { iterations = i1; residual = r1 },
-      Error.Nonconvergent { iterations = i2; residual = r2 } ) ->
-      i1 = i2 && (r1 = r2 || (Float.is_nan r1 && Float.is_nan r2))
-  | _ -> a = b
-
+(* Each typed source exception, the class it maps to, and that class's
+   slug and exit code (3-8, one per class). *)
 let of_exn_mapping () =
-  let check name exn expected =
-    match (Error.of_exn exn, expected) with
-    | Some got, Some want ->
-        if not (error_equal got want) then
-          Alcotest.failf "%s: mapped to %s, wanted %s" name
-            (Error.to_string got) (Error.to_string want)
-    | None, None -> ()
-    | Some got, None ->
-        Alcotest.failf "%s: mapped to %s, wanted re-raise" name
-          (Error.to_string got)
-    | None, Some want ->
-        Alcotest.failf "%s: refused to map, wanted %s" name
-          (Error.to_string want)
+  let row name exn cls code =
+    match Error.of_exn exn with
+    | None -> Alcotest.failf "%s: refused to map" name
+    | Some e ->
+        Alcotest.(check string) (name ^ " class") cls (Error.class_name e);
+        Alcotest.(check int) (name ^ " exit code") code (Error.exit_code e);
+        e
   in
-  check "singular" (Dpm_linalg.Lu.Singular 3) (Some Error.Singular);
-  check "cycling" (Dpm_linalg.Simplex.Cycling 7) (Some Error.Cycling);
-  check "nonconvergent"
-    (Failure "Policy_iteration.solve: no convergence after 42 iterations")
-    (Some
-       (Error.Nonconvergent { iterations = 42; residual = Float.nan }));
-  check "stack-overflow" Stack_overflow None;
-  check "out-of-memory" Out_of_memory None;
-  (match Error.of_exn (Dpm_ctmc.Steady_state.Not_irreducible "two classes") with
-  | Some (Error.Invalid_model [ d ]) ->
-      Alcotest.(check string) "code" "not-unichain" d.Diagnostic.code
-  | other ->
-      Alcotest.failf "Not_irreducible mapped to %s"
-        (match other with Some e -> Error.to_string e | None -> "re-raise"))
+  let diagnostic_code name = function
+    | Error.Invalid_model [ d ] -> d.Diagnostic.code
+    | e -> Alcotest.failf "%s: mapped to %s" name (Error.to_string e)
+  in
+  (match
+     row "deadline signal"
+       (Error.Deadline_signal { budget_s = 0.5; elapsed_s = 0.75 })
+       "deadline-exceeded" 3
+   with
+  | Error.Deadline_exceeded { budget_s; elapsed_s } ->
+      Alcotest.(check (float 0.0)) "budget" 0.5 budget_s;
+      Alcotest.(check (float 0.0)) "elapsed" 0.75 elapsed_s
+  | e -> Alcotest.failf "deadline signal: %s" (Error.to_string e));
+  ignore (row "LU singular" (Dpm_linalg.Lu.Singular 3) "singular" 4);
+  (match
+     row "non-convergence"
+       (Dpm_ctmdp.Solver_error.Nonconvergent
+          { solver = "Policy_iteration.solve"; iterations = 42; residual = 0.25 })
+       "nonconvergent" 5
+   with
+  | Error.Nonconvergent { iterations; residual } ->
+      Alcotest.(check int) "iterations" 42 iterations;
+      Alcotest.(check (float 0.0)) "residual" 0.25 residual
+  | e -> Alcotest.failf "non-convergence: %s" (Error.to_string e));
+  ignore (row "simplex cycling" (Dpm_linalg.Simplex.Cycling 7) "cycling" 6);
+  List.iter
+    (fun (name, exn, code) ->
+      Alcotest.(check string)
+        (name ^ " diagnostic") code
+        (diagnostic_code name (row name exn "invalid-model" 7)))
+    [
+      ( "LP infeasible",
+        Dpm_ctmdp.Solver_error.Lp_infeasible "Lp_solver.solve: LP infeasible",
+        "lp-infeasible" );
+      ( "LP unbounded",
+        Dpm_ctmdp.Solver_error.Lp_unbounded "Constrained_lp.solve: unbounded",
+        "lp-unbounded" );
+      ( "two closed classes",
+        Dpm_ctmc.Steady_state.Not_irreducible "two classes",
+        "not-unichain" );
+      (* A message is no longer read for its class: a [Failure] that
+         mentions convergence is the generic diagnostic. *)
+      ( "Failure text",
+        Failure "Policy_iteration.solve: no convergence after 42 iterations",
+        "failure" );
+    ];
+  (match
+     row "non-finite signal" (Error.Non_finite_signal "gain") "non-finite" 8
+   with
+  | Error.Non_finite site -> Alcotest.(check string) "site" "gain" site
+  | e -> Alcotest.failf "non-finite signal: %s" (Error.to_string e));
+  List.iter
+    (fun (name, exn) ->
+      match Error.of_exn exn with
+      | None -> ()
+      | Some e -> Alcotest.failf "%s: mapped to %s" name (Error.to_string e))
+    [ ("stack overflow", Stack_overflow); ("out of memory", Out_of_memory) ]
 
 (* --- deadlines ------------------------------------------------------ *)
 
 let deadline_fires_immediately () =
   let r, reg =
     with_registry (fun () ->
-        Policy_iteration.solve_r ~deadline_s:0.0 (paper_model ()))
+        fenced ~deadline_s:0.0 (fun guard ->
+            Dpm_ctmdp.Policy_iteration.solve ~guard (paper_model ())))
   in
   (match r with
   | Error (Error.Deadline_exceeded { budget_s; elapsed_s }) ->
@@ -92,9 +121,9 @@ let deadline_fires_immediately () =
 let stall_fault_caught_by_deadline () =
   let r, reg =
     with_registry (fun () ->
-        Policy_iteration.solve_r ~deadline_s:0.001
-          ~faults:(Fault.plan [ Fault.Stall ])
-          (paper_model ()))
+        fenced ~deadline_s:0.001 ~faults:(Fault.plan [ Fault.Stall ])
+          (fun guard ->
+            Dpm_ctmdp.Policy_iteration.solve ~guard (paper_model ())))
   in
   (match r with
   | Error (Error.Deadline_exceeded _) -> ()
@@ -105,7 +134,10 @@ let stall_fault_caught_by_deadline () =
     (counter reg "fault.injected.stall" >= 1)
 
 let value_iteration_deadline () =
-  match Value_iteration.solve_r ~deadline_s:0.0 (paper_model ()) with
+  match
+    fenced ~deadline_s:0.0 (fun guard ->
+        Dpm_ctmdp.Value_iteration.solve ~guard (paper_model ()))
+  with
   | Error (Error.Deadline_exceeded _) -> ()
   | Ok _ -> Alcotest.fail "zero deadline did not fire"
   | Error e -> Alcotest.failf "wrong error: %s" (Error.to_string e)
@@ -115,7 +147,9 @@ let steady_state_deadline () =
     Dpm_ctmc.Generator.of_rates ~dim:3
       [ (0, 1, 1.0); (1, 2, 1.0); (2, 0, 1.0) ]
   in
-  match Steady_state.solve_r ~deadline_s:0.0 g with
+  match
+    fenced ~deadline_s:0.0 (fun guard -> Dpm_ctmc.Steady_state.solve ~guard g)
+  with
   | Error (Error.Deadline_exceeded _) -> ()
   | Ok _ -> Alcotest.fail "zero deadline did not fire"
   | Error e -> Alcotest.failf "wrong error: %s" (Error.to_string e)
@@ -123,7 +157,11 @@ let steady_state_deadline () =
 (* --- typed solver failures ----------------------------------------- *)
 
 let pi_tikhonov_ladder_recovers () =
-  let r, reg = with_registry (fun () -> Policy_iteration.solve_r (two_orbit_model ())) in
+  let r, reg =
+    with_registry (fun () ->
+        fenced (fun guard ->
+            Dpm_ctmdp.Policy_iteration.solve ~guard (two_orbit_model ())))
+  in
   (match r with
   | Ok res ->
       (* The optimum parks in the free orbit {2,3}. *)
@@ -143,14 +181,35 @@ let pi_iteration_budget_is_typed () =
     Dpm_ctmdp.Model.create ~num_states:1 (fun _ ->
         [ choice 0 1.0 []; choice 1 0.0 [] ])
   in
-  match Policy_iteration.solve_r ~max_iter:1 m with
-  | Error (Error.Nonconvergent { iterations; _ }) ->
-      Alcotest.(check int) "iterations parsed" 1 iterations
+  match
+    fenced (fun guard -> Dpm_ctmdp.Policy_iteration.solve ~max_iter:1 ~guard m)
+  with
+  | Error (Error.Nonconvergent { iterations; residual }) ->
+      Alcotest.(check int) "iterations carried" 1 iterations;
+      Alcotest.(check bool) "no residual measure" true (Float.is_nan residual)
   | Ok _ -> Alcotest.fail "PI converged in one sweep on a flip-flop model"
   | Error e -> Alcotest.failf "wrong error: %s" (Error.to_string e)
 
+(* Value iteration reports an unconverged run in its result; a caller
+   that wants it typed raises the solvers' exception from it. *)
 let vi_nonconvergence_is_typed () =
-  match Value_iteration.solve_r ~tol:0.0 ~max_iter:5 (paper_model ()) with
+  match
+    fenced (fun guard ->
+        let r =
+          Dpm_ctmdp.Value_iteration.solve ~tol:0.0 ~max_iter:5 ~guard
+            (paper_model ())
+        in
+        let open Dpm_ctmdp.Value_iteration in
+        if not r.converged then
+          raise
+            (Dpm_ctmdp.Solver_error.Nonconvergent
+               {
+                 solver = "Value_iteration.solve";
+                 iterations = r.iterations;
+                 residual = r.gain_upper -. r.gain_lower;
+               });
+        r)
+  with
   | Error (Error.Nonconvergent { iterations; residual }) ->
       Alcotest.(check int) "iterations" 5 iterations;
       Alcotest.(check bool) "residual finite" true (Float.is_finite residual)
@@ -163,16 +222,30 @@ let vi_overflow_is_non_finite () =
       | 0 -> [ choice 0 1e308 [ (1, 1.0) ] ]
       | _ -> [ choice 0 (-1e308) [ (0, 1.0) ] ])
   in
-  match Value_iteration.solve_r ~max_iter:10 m with
+  let r, reg =
+    with_registry (fun () ->
+        fenced (fun guard ->
+            let r = Dpm_ctmdp.Value_iteration.solve ~max_iter:10 ~guard m in
+            let open Dpm_ctmdp.Value_iteration in
+            Guard.check_finite_vec ~site:"value_iteration.values" r.values;
+            Guard.check_finite ~site:"value_iteration.gain_lower" r.gain_lower;
+            Guard.check_finite ~site:"value_iteration.gain_upper" r.gain_upper;
+            r))
+  in
+  (match r with
   | Error (Error.Non_finite site) ->
       Alcotest.(check bool)
         "site names the stage" true
-        (String.length site > 0)
+        (String.starts_with ~prefix:"value_iteration." site)
   | Ok _ -> Alcotest.fail "1e308 costs cannot survive uniformized backups"
-  | Error e -> Alcotest.failf "wrong error: %s" (Error.to_string e)
+  | Error e -> Alcotest.failf "wrong error: %s" (Error.to_string e));
+  Alcotest.(check int) "counted once" 1 (counter reg "robust.non_finite")
 
 let lp_pivot_budget_is_cycling () =
-  match Lp_solver.solve_r ~max_pivots:1 (paper_model ()) with
+  match
+    fenced (fun guard ->
+        Dpm_ctmdp.Lp_solver.solve ~max_pivots:1 ~guard (paper_model ()))
+  with
   | Error Error.Cycling -> ()
   | Ok _ -> Alcotest.fail "23-row phase 1 finished within the Bland retry"
   | Error e -> Alcotest.failf "wrong error: %s" (Error.to_string e)
@@ -201,7 +274,7 @@ let steady_state_two_classes_is_invalid () =
     Dpm_ctmc.Generator.of_rates ~dim:4
       [ (0, 1, 1.0); (1, 0, 1.0); (2, 3, 1.0); (3, 2, 1.0) ]
   in
-  match Steady_state.solve_r g with
+  match fenced (fun guard -> Dpm_ctmc.Steady_state.solve ~guard g) with
   | Error (Error.Invalid_model ds) ->
       Alcotest.(check bool)
         "not-unichain diagnostic" true
@@ -209,15 +282,27 @@ let steady_state_two_classes_is_invalid () =
   | Ok _ -> Alcotest.fail "two closed classes accepted"
   | Error e -> Alcotest.failf "wrong error: %s" (Error.to_string e)
 
+(* The distribution a fenced stationary solve returns is finite and
+   satisfies the exact balance equations: one mat-vec,
+   |p G| <= 1e-7 * max rate. *)
 let steady_state_happy_path_verifies () =
   let g =
     Dpm_ctmc.Generator.of_rates ~dim:3
       [ (0, 1, 2.0); (1, 0, 1.0); (1, 2, 1.0); (2, 0, 3.0) ]
   in
-  match Steady_state.solve_r g with
+  match
+    fenced (fun guard ->
+        let p = Dpm_ctmc.Steady_state.solve ~guard g in
+        Guard.check_finite_vec ~site:"steady_state.distribution" p;
+        p)
+  with
   | Ok p ->
       let sum = Array.fold_left ( +. ) 0.0 p in
-      Alcotest.(check (float 1e-9)) "normalized" 1.0 sum
+      Alcotest.(check (float 1e-9)) "normalized" 1.0 sum;
+      let scale = Float.max 1.0 (Dpm_ctmc.Generator.uniformization_rate g) in
+      Alcotest.(check bool)
+        "balance residual" true
+        (Dpm_ctmc.Steady_state.residual g p <= 1e-7 *. scale)
   | Error e -> Alcotest.failf "valid chain rejected: %s" (Error.to_string e)
 
 (* --- validation ----------------------------------------------------- *)
@@ -245,7 +330,8 @@ let map_costs_poison_is_caught () =
       (fun i _ -> if i = 2 then Float.nan else 0.0)
       (paper_model ())
   in
-  match Policy_iteration.solve_r m with
+  Dpm_cache.Solve_cache.with_capacity 0 @@ fun () ->
+  match Dpm_scenario.Solve.solve m with
   | Error (Error.Invalid_model ds) ->
       Alcotest.(check bool)
         "non-finite-cost diagnostic" true
@@ -339,6 +425,13 @@ let model_fault_matrix () =
       Fault.Duplicate_action;
     ]
 
+(* A dense matrix to a generator: every validation finding reported
+   as [Invalid_model], then the build fenced. *)
+let generator_of_matrix m =
+  match Diagnostic.errors (Validate.generator_matrix m) with
+  | [] -> fenced (fun _ -> Dpm_ctmc.Generator.of_matrix m)
+  | errs -> Error (Error.Invalid_model errs)
+
 let matrix_fault_matrix () =
   let sys = Paper_instance.system () in
   let base = Sys_model.uniform_generator sys ~action:0 in
@@ -352,9 +445,11 @@ let matrix_fault_matrix () =
              never an uncaught exception.  NaN entries must be
              rejected; a zeroed row is a legal absorbing state; a
              duplicated row keeps the generator property. *)
-          match Steady_state.of_matrix_r corrupted with
+          match generator_of_matrix corrupted with
           | Ok g -> (
-              match Steady_state.solve_r g with
+              match
+                fenced (fun guard -> Dpm_ctmc.Steady_state.solve ~guard g)
+              with
               | Ok _ | Error _ -> ())
           | Error (Error.Invalid_model _) ->
               if kind = Fault.Zero_row then
@@ -372,7 +467,7 @@ let nan_entry_always_rejected () =
   List.iter
     (fun seed ->
       let plan = Fault.plan ~seed:(Int64.of_int seed) [ Fault.Nan_entry ] in
-      match Steady_state.of_matrix_r (Fault.corrupt_matrix plan base) with
+      match generator_of_matrix (Fault.corrupt_matrix plan base) with
       | Error (Error.Invalid_model _) -> ()
       | Ok _ -> Alcotest.failf "NaN entry accepted, seed %d" seed
       | Error e ->

@@ -21,6 +21,12 @@ let ok_exn site = function
   | Ok v -> v
   | Error e -> Alcotest.failf "%s: %s" site (Dpm_robust.Error.to_string e)
 
+let validates_clean label m =
+  Alcotest.(check (list string))
+    (label ^ " validates clean") []
+    (List.map Dpm_robust.Diagnostic.to_string
+       (Dpm_robust.Diagnostic.errors (Dpm_robust.Validate.model m)))
+
 (* --- Phase_type ------------------------------------------------------ *)
 
 let phase_type_fit () =
@@ -150,10 +156,7 @@ let erlang_k_and_hyper2_solve () =
         (label ^ " state count")
         (23 + ((Phase_type.phases service - 1) * Paper_instance.queue_capacity))
         (Dpm_ctmdp.Model.num_states m);
-      (match Dpm_robust.Policy_iteration.validate_model m with
-      | Ok () -> ()
-      | Error e ->
-          Alcotest.failf "%s rejected: %s" label (Dpm_robust.Error.to_string e));
+      validates_clean label m;
       let s = ok_exn label (Solve.solve m) in
       (* Cross-check the optimum's gain against the closed-loop
          stationary distribution — an independent numerical path. *)
@@ -258,9 +261,7 @@ let polling_matches_oracle () =
   Dpm_cache.Solve_cache.with_capacity 0 @@ fun () ->
   let p = two_queue () in
   let m = Polling.to_ctmdp p in
-  (match Dpm_robust.Policy_iteration.validate_model m with
-  | Ok () -> ()
-  | Error e -> Alcotest.failf "polling rejected: %s" (Dpm_robust.Error.to_string e));
+  validates_clean "polling" m;
   let s = ok_exn "polling solve" (Solve.solve m) in
   (* The optimum must actually serve somewhere. *)
   if not (Array.exists (fun a -> a = Polling.action_serve p) s.Solve.actions)
@@ -348,6 +349,24 @@ let prop_polling_throughput_conservation =
             st.Polling.queues)
         pi;
       Float.abs (!served -. !accepted) <= 1e-6 *. (1.0 +. !accepted))
+
+(* The budget a solve ran under is in its provenance, cold or hit. *)
+let solve_stamps_deadline () =
+  let m = Polling.to_ctmdp (two_queue ()) in
+  Dpm_cache.Solve_cache.with_capacity 8 @@ fun () ->
+  let deadline s =
+    s.Solve.provenance.Dpm_trace.Provenance.deadline_s
+  in
+  let cold = ok_exn "cold" (Solve.solve ~deadline_s:60.0 m) in
+  Alcotest.(check (option (float 0.0))) "cold solve" (Some 60.0) (deadline cold);
+  let hit = ok_exn "hit" (Solve.solve ~deadline_s:30.0 m) in
+  Alcotest.(check bool)
+    "served from the cache" true
+    (hit.Solve.provenance.Dpm_trace.Provenance.origin
+    = Dpm_trace.Provenance.Cache_hit);
+  Alcotest.(check (option (float 0.0))) "cache hit" (Some 30.0) (deadline hit);
+  let unbudgeted = ok_exn "no budget" (Solve.solve m) in
+  Alcotest.(check (option (float 0.0))) "no budget" None (deadline unbudgeted)
 
 let polling_deadline_guard () =
   let m = Polling.to_ctmdp (two_queue ()) in
@@ -462,6 +481,8 @@ let suite =
       polling_progress_constraints;
     prop_polling_throughput_conservation;
     Alcotest.test_case "polling deadline guard" `Quick polling_deadline_guard;
+    Alcotest.test_case "solve stamps its deadline into the provenance" `Quick
+      solve_stamps_deadline;
     Alcotest.test_case "batch-1 reproduces the golden pins" `Quick
       batch1_reproduces_golden_pins;
     Alcotest.test_case "gain is monotone in the batch cap" `Quick

@@ -301,7 +301,7 @@ let check_cmd =
             (List.map Dpm_robust.Fault.kind_to_string
                plan.Dpm_robust.Fault.kinds)
         in
-        let raw = Dpm_robust.Validate.system_choices sys ~weight in
+        let raw = Sys_model.choices sys ~weight in
         let corrupted =
           Dpm_robust.Fault.corrupt_choices plan ~num_states:n raw
         in

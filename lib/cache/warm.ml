@@ -1,24 +1,11 @@
-module Model = Dpm_ctmdp.Model
-module Policy = Dpm_ctmdp.Policy
-
 let init_of_actions m actions =
-  let n = Model.num_states m in
-  let ok = ref (Array.length actions = n) in
-  let idx = Array.make (max n 1) 0 in
-  if !ok then
-    for i = 0 to n - 1 do
-      match Model.find_choice m i ~action:actions.(i) with
-      | Some k -> idx.(i) <- k
-      | None -> ok := false
-    done;
-  if !ok then begin
-    Dpm_obs.Probe.incr "cache.warm_starts";
-    Some (Policy.of_choice_indices m idx)
-  end
-  else begin
-    Dpm_obs.Probe.incr "cache.warm_fallbacks";
-    None
-  end
+  match Dpm_ctmdp.Policy.of_actions m actions with
+  | p ->
+      Dpm_obs.Probe.incr "cache.warm_starts";
+      Some p
+  | exception Invalid_argument _ ->
+      Dpm_obs.Probe.incr "cache.warm_fallbacks";
+      None
 
 let waves n =
   if n <= 0 then []

@@ -12,13 +12,11 @@
 
 val init_of_actions :
   Dpm_ctmdp.Model.t -> int array -> Dpm_ctmdp.Policy.t option
-(** [init_of_actions m actions] resolves per-state action labels
-    against [m]'s choice table — the structural half of the
-    [Dpm_robust] model validation (every state must offer the
-    requested label).  [None] (a cold start) when the table has the
-    wrong length or some state lacks the label; the outcome is
-    counted on the [cache.warm_starts] / [cache.warm_fallbacks]
-    {!Dpm_obs} probes. *)
+(** [init_of_actions m actions] is [Policy.of_actions m actions]
+    (every state must offer the requested label), or [None] (a cold
+    start) where that raises: the table has the wrong length or some
+    state lacks the label.  The outcome is counted on the
+    [cache.warm_starts] / [cache.warm_fallbacks] {!Dpm_obs} probes. *)
 
 val waves : int -> (int * int option) array list
 (** [waves n] is a schedule for solving grid points [0 .. n-1] in

@@ -1,17 +1,3 @@
-let defaults ?sleep_mode ?active_mode sys =
-  let sp = Sys_model.sp sys in
-  let sleep =
-    match sleep_mode with Some s -> s | None -> Service_provider.deepest_sleep sp
-  in
-  let active =
-    match active_mode with Some a -> a | None -> Service_provider.fastest_active sp
-  in
-  if not (Service_provider.is_active sp active) then
-    invalid_arg "Policies: active_mode is not an active mode";
-  if Service_provider.is_active sp sleep then
-    invalid_arg "Policies: sleep_mode is an active mode";
-  (sleep, active)
-
 let always_on sys x =
   let sp = Sys_model.sp sys in
   match x with
@@ -20,9 +6,10 @@ let always_on sys x =
       else Service_provider.fastest_active sp
   | Sys_model.Transfer (s, _) -> s
 
-let greedy ?sleep_mode ?active_mode sys x =
-  let sleep, active = defaults ?sleep_mode ?active_mode sys in
+let greedy sys x =
   let sp = Sys_model.sp sys in
+  let sleep = Service_provider.deepest_sleep sp
+  and active = Service_provider.fastest_active sp in
   match x with
   | Sys_model.Stable (s, i) ->
       if Service_provider.is_active sp s then s
@@ -30,9 +17,10 @@ let greedy ?sleep_mode ?active_mode sys x =
       else s
   | Sys_model.Transfer (s, i) -> if i = 1 then sleep else s
 
-let n_policy ?sleep_mode ?active_mode sys ~n x =
-  let sleep, active = defaults ?sleep_mode ?active_mode sys in
+let n_policy sys ~n x =
   let sp = Sys_model.sp sys in
+  let sleep = Service_provider.deepest_sleep sp
+  and active = Service_provider.fastest_active sp in
   let n = max 1 (min n (Sys_model.queue_capacity sys)) in
   match x with
   | Sys_model.Stable (s, i) ->
@@ -61,7 +49,4 @@ let check_valid sys policy =
   scan 0
 
 let to_ctmdp_policy sys model policy =
-  (match check_valid sys policy with
-  | Ok () -> ()
-  | Error msg -> invalid_arg ("Policies.to_ctmdp_policy: " ^ msg));
   Dpm_ctmdp.Policy.of_actions model (actions_array sys policy)

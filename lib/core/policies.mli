@@ -14,15 +14,13 @@ val always_on : Sys_model.t -> Sys_model.state -> int
 (** Never power down: inactive modes are told to wake to the fastest
     active mode; active modes hold. *)
 
-val greedy : ?sleep_mode:int -> ?active_mode:int -> Sys_model.t -> Sys_model.state -> int
+val greedy : Sys_model.t -> Sys_model.state -> int
 (** Section V's greedy baseline: deactivate the instant the system
     empties (the transfer state that leaves the queue empty commands
-    [sleep_mode], default {!Service_provider.deepest_sleep}), activate
-    the instant a request waits ([active_mode], default
-    {!Service_provider.fastest_active}). *)
+    {!Service_provider.deepest_sleep}), activate the instant a request
+    waits ({!Service_provider.fastest_active}). *)
 
-val n_policy :
-  ?sleep_mode:int -> ?active_mode:int -> Sys_model.t -> n:int -> Sys_model.state -> int
+val n_policy : Sys_model.t -> n:int -> Sys_model.state -> int
 (** The N-policy of Heyman [12] (Section V): deactivate when the
     system empties; activate when [n] requests wait.  [n] is clamped
     to [[1, Q]] ([q_Q] forces a wake-up by constraint (2) anyway).
@@ -39,5 +37,7 @@ val check_valid : Sys_model.t -> (Sys_model.state -> int) -> (unit, string) resu
 val to_ctmdp_policy :
   Sys_model.t -> Dpm_ctmdp.Model.t -> (Sys_model.state -> int) -> Dpm_ctmdp.Policy.t
 (** Resolve the policy's action labels against a model built by
-    {!Sys_model.to_ctmdp} (any weight).  Raises [Invalid_argument] if
-    the policy commands an action outside a state's valid set. *)
+    {!Sys_model.to_ctmdp} (any weight) with [Policy.of_actions].  Raises
+    [Invalid_argument] if the policy commands an action outside a
+    state's valid set, which is exactly the set of labels the model
+    offers there. *)

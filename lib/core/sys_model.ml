@@ -161,19 +161,21 @@ let power_cost sys x ~action =
 let cost sys ~weight x ~action =
   power_cost sys x ~action +. (weight *. float_of_int (waiting_requests x))
 
+let choices sys ~weight k =
+  let x = state_of_index sys k in
+  List.map
+    (fun a ->
+      {
+        Dpm_ctmdp.Model.action = a;
+        rates = transitions sys x ~action:a;
+        cost = cost sys ~weight x ~action:a;
+      })
+    (valid_actions sys x)
+
 let to_ctmdp sys ~weight =
   if weight < 0.0 || not (Float.is_finite weight) then
     invalid_arg "Sys_model.to_ctmdp: weight must be nonnegative and finite";
-  Dpm_ctmdp.Model.create ~num_states:(num_states sys) (fun k ->
-      let x = state_of_index sys k in
-      List.map
-        (fun a ->
-          {
-            Dpm_ctmdp.Model.action = a;
-            rates = transitions sys x ~action:a;
-            cost = cost sys ~weight x ~action:a;
-          })
-        (valid_actions sys x))
+  Dpm_ctmdp.Model.create ~num_states:(num_states sys) (choices sys ~weight)
 
 let generator_of_actions sys ~actions =
   let rates = ref [] in

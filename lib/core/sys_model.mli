@@ -115,10 +115,17 @@ val cost : t -> weight:float -> state -> action:int -> float
 (** The paper's Eqn. (3.1):
     [Cost(x, a) = C_pow(x, a) + weight * C_sq(x)]. *)
 
+val choices : t -> weight:float -> int -> Dpm_ctmdp.Model.choice list
+(** [choices sys ~weight k] is the SYS choice table at state index
+    [k]: one choice per valid action, with {!transitions} as rates and
+    {!cost} as the cost rate.  It is the raw table, checked by
+    nothing: {!to_ctmdp} hands it to [Model.create], and validation
+    and the fault drills read (or corrupt) it before that. *)
+
 val to_ctmdp : t -> weight:float -> Dpm_ctmdp.Model.t
-(** The decision process handed to the solvers: per state, one choice
-    per valid action, with {!transitions} as rates and {!cost} as the
-    cost rate. *)
+(** The decision process handed to the solvers: [Model.create] over
+    {!choices}.  Raises [Invalid_argument] on a negative or non-finite
+    [weight]. *)
 
 val generator_of_actions : t -> actions:(state -> int) -> Dpm_ctmc.Generator.t
 (** [generator_of_actions sys ~actions] is the closed-loop chain

@@ -24,25 +24,49 @@ let of_rates ~dim rates =
   let sums = Sparse.row_sums off in
   { n = dim; backing = Csr (Sparse.with_diagonal off (fun i -> -.sums.(i))) }
 
-let of_matrix ?(tol = 1e-9) m =
+type report = code:string -> site:string -> string -> unit
+
+let fail (report : report) ~code ~site fmt =
+  Printf.ksprintf (report ~code ~site) fmt
+
+let row_site i = Printf.sprintf "row %d" i
+
+let check ?(tol = 1e-9) m ~error ~warning =
   let n = Matrix.rows m in
   if Matrix.cols m <> n then
-    invalid "of_matrix: not square (%dx%d)" n (Matrix.cols m);
-  if n = 0 then invalid "of_matrix: empty matrix";
-  for i = 0 to n - 1 do
-    let s = ref 0.0 in
-    Matrix.iter_row (fun _ x -> s := !s +. x) m i;
-    if Float.abs !s > tol then
-      invalid "of_matrix: row %d sums to %g (tolerance %g)" i !s tol
-  done;
-  for i = 0 to n - 1 do
-    for j = 0 to n - 1 do
-      let x = Matrix.get m i j in
-      if not (Float.is_finite x) then invalid "of_matrix: entry (%d,%d) not finite" i j;
-      if i <> j && x < 0.0 then
-        invalid "of_matrix: negative off-diagonal %g at (%d,%d)" x i j
+    fail error ~code:"not-square" ~site:"matrix" "%dx%d" n (Matrix.cols m)
+  else if n = 0 then fail error ~code:"empty-matrix" ~site:"matrix" "0x0"
+  else
+    for i = 0 to n - 1 do
+      let sum = ref 0.0 and scale = ref 0.0 and finite = ref true in
+      for j = 0 to n - 1 do
+        let x = Matrix.get m i j in
+        if not (Float.is_finite x) then begin
+          finite := false;
+          fail error ~code:"non-finite-entry" ~site:(row_site i)
+            "entry (%d,%d) is %g" i j x
+        end
+        else begin
+          if j <> i && x < 0.0 then
+            fail error ~code:"negative-rate" ~site:(row_site i)
+              "entry (%d,%d) is %g" i j x;
+          sum := !sum +. x;
+          scale := Float.max !scale (Float.abs x)
+        end
+      done;
+      if !finite then
+        if !scale = 0.0 then
+          warning ~code:"absorbing-state" ~site:(row_site i) "row is all zero"
+        else if Float.abs !sum > tol then
+          fail error ~code:"row-sum" ~site:(row_site i)
+            "row sums to %g (scale %g)" !sum !scale
     done
-  done;
+
+let of_matrix ?tol m =
+  check ?tol m
+    ~error:(fun ~code ~site msg -> invalid "of_matrix: %s at %s: %s" code site msg)
+    ~warning:(fun ~code:_ ~site:_ _ -> ());
+  let n = Matrix.rows m in
   (* Recompute the diagonal so row sums are exactly zero. *)
   let fixed = Matrix.copy m in
   for i = 0 to n - 1 do

@@ -24,11 +24,26 @@ val of_rates : dim:int -> (int * int * float) list -> t
     Raises {!Invalid} on negative rates, out-of-range indices, or
     [i = j] entries (self-rates are implied, not stored). *)
 
+type report = code:string -> site:string -> string -> unit
+(** Where {!check} sends a finding: a stable slug, the site
+    (["matrix"] or ["row 3"]) and a human-readable message. *)
+
+val check :
+  ?tol:float -> Matrix.t -> error:report -> warning:report -> unit
+(** [check m ~error ~warning] is the one check of a dense matrix as a
+    generator.  Errors: [not-square], [empty-matrix] (0x0), and per
+    row [non-finite-entry], [negative-rate] (off-diagonal) and
+    [row-sum] (a finite row whose sum exceeds [tol] in absolute value;
+    default [1e-9]).  An all-zero row is the [absorbing-state]
+    warning: a legal absorbing state.  {!of_matrix} raises at the
+    first error; [Dpm_robust.Validate.generator_matrix] collects them
+    all. *)
+
 val of_matrix : ?tol:float -> Matrix.t -> t
-(** [of_matrix m] validates a full matrix: square, nonnegative
-    off-diagonal, row sums within [tol] (default [1e-9]) of zero.
-    The row sums are then corrected exactly by recomputing the
-    diagonal.  Raises {!Invalid} otherwise. *)
+(** [of_matrix m] builds a generator from a full matrix that passes
+    {!check} with no error; the row sums are then corrected exactly by
+    recomputing the diagonal.  Raises {!Invalid} naming the first
+    error otherwise. *)
 
 val dim : t -> int
 (** Number of states. *)

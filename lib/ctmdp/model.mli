@@ -22,13 +22,31 @@ type choice = {
 
 type t
 
+type report = code:string -> site:string -> string -> unit
+(** Where a check sends each finding: a stable slug ([bad-rate]), the
+    site (["state 3, choice 1"]) and a human-readable message.  The
+    check decides what is wrong; the reporter decides what to do about
+    it — {!create} raises at the first finding, [Dpm_robust.Validate]
+    collects them all. *)
+
+val check_state : num_states:int -> int -> choice array -> report -> unit
+(** [check_state ~num_states i cs report] is the one check of a
+    state's choice set, reporting in order: [empty-choice] when [cs]
+    is empty; otherwise, choice by choice, [duplicate-action] when an
+    earlier choice carries the same label, [non-finite-cost], then for
+    each rate [bad-target] (out of [[0, num_states)] or a self-rate)
+    or [bad-rate] (non-finite or negative).  Sites are formatted only
+    when a finding fires. *)
+
+val check : t -> report -> unit
+(** {!check_state} over every state of a built model — it matters
+    after {!map_costs}, which skips re-validation. *)
+
 val create : num_states:int -> (int -> choice list) -> t
 (** [create ~num_states choices_of] materializes and validates a
-    CTMDP.  For every state, [choices_of state] must be a nonempty
-    list of choices with: finite nonnegative rates, targets in
-    [[0, num_states)] and different from the state itself, finite
-    costs, and pairwise-distinct action labels.  Raises
-    [Invalid_argument] otherwise. *)
+    CTMDP: [num_states] must be positive and every state must pass
+    {!check_state}.  Raises [Invalid_argument] naming the first
+    finding otherwise. *)
 
 val num_states : t -> int
 (** Number of states. *)

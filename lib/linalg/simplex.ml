@@ -155,7 +155,7 @@ let minimize_core ?(max_pivots = 100_000) ?(tol = 1e-9) ~guard ~c ~a b =
        ~allowed:(fun _ -> true)
        ~b ~basis ~tol ~max_pivots
    with
-  | PUnbounded -> failwith "Simplex: phase 1 unbounded (impossible)"
+  | PUnbounded -> assert false (* phase 1 is bounded below by 0 *)
   | POptimal -> ());
   let factor_basis () =
     Lu.decompose (Matrix.init m m (fun i k -> columns.(basis.(k)).(i)))
@@ -183,7 +183,7 @@ let minimize_core ?(max_pivots = 100_000) ?(tol = 1e-9) ~guard ~c ~a b =
           end
         done;
         if not !found then
-          failwith
+          invalid_arg
             "Simplex: redundant constraint row (drop dependent constraints \
              before calling)"
       end

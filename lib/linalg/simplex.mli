@@ -48,7 +48,8 @@ val minimize :
     rule with a fresh budget; a second blow-out raises {!Cycling}.
     [guard] (default a no-op) is invoked before every pivot and may
     raise to abort the solve — the deadline hook used by
-    [Dpm_robust].  Raises [Invalid_argument] on shape mismatches. *)
+    [Dpm_robust].  Raises [Invalid_argument] on shape mismatches and
+    on a redundant (linearly dependent) constraint row. *)
 
 val check_feasible : ?tol:float -> a:Matrix.t -> b:Vec.t -> Vec.t -> bool
 (** [check_feasible ~a ~b x] tests [A x = b] (within [tol], default

@@ -1,4 +1,3 @@
-open Dpm_linalg
 open Dpm_core
 
 let max_diagnostics = 100
@@ -21,59 +20,15 @@ let push c d =
 
 let finish c = List.rev c.diags
 
-let errf c ~code ~site fmt =
-  Printf.ksprintf (fun msg -> push c (Diagnostic.error ~code ~site msg)) fmt
+(* The two reporters through which the type modules' checks feed the
+   collector. *)
+let error c ~code ~site msg = push c (Diagnostic.error ~code ~site msg)
+let warning c ~code ~site msg = push c (Diagnostic.warning ~code ~site msg)
+let errf c ~code ~site fmt = Printf.ksprintf (error c ~code ~site) fmt
 
-let warnf c ~code ~site fmt =
-  Printf.ksprintf (fun msg -> push c (Diagnostic.warning ~code ~site msg)) fmt
+let has_errors c = List.exists Diagnostic.is_error c.diags
 
 (* --- CTMDP choice tables ------------------------------------------- *)
-
-(* Sites are formatted only when a finding fires: a clean model
-   allocates no string. *)
-let choice_site state k = Printf.sprintf "state %d, choice %d" state k
-let state_site state = Printf.sprintf "state %d" state
-
-let check_choice c ~num_states ~state k (ch : Dpm_ctmdp.Model.choice) =
-  if not (Float.is_finite ch.Dpm_ctmdp.Model.cost) then
-    errf c ~code:"non-finite-cost" ~site:(choice_site state k)
-      "cost rate is %g" ch.Dpm_ctmdp.Model.cost;
-  List.iter
-    (fun (j, r) ->
-      if j < 0 || j >= num_states then
-        errf c ~code:"bad-target" ~site:(choice_site state k)
-          "rate targets state %d of %d" j num_states
-      else if j = state then
-        errf c ~code:"bad-target" ~site:(choice_site state k)
-          "self-rate (diagonal is implied)"
-      else if not (Float.is_finite r) then
-        errf c ~code:"bad-rate" ~site:(choice_site state k)
-          "rate to state %d is %g" j r
-      else if r < 0.0 then
-        errf c ~code:"bad-rate" ~site:(choice_site state k)
-          "rate to state %d is negative (%g)" j r)
-    ch.Dpm_ctmdp.Model.rates
-
-(* The index of the first of the first [k] choices labelled [action]. *)
-let rec first_label action k i = function
-  | (ch : Dpm_ctmdp.Model.choice) :: rest when i < k ->
-      if ch.Dpm_ctmdp.Model.action = action then Some i
-      else first_label action k (i + 1) rest
-  | _ -> None
-
-let check_state_choices c ~num_states state (cs : Dpm_ctmdp.Model.choice list) =
-  if cs = [] then errf c ~code:"empty-choice" ~site:(state_site state) "no choices"
-  else
-    List.iteri
-      (fun k ch ->
-        let action = ch.Dpm_ctmdp.Model.action in
-        (match first_label action k 0 cs with
-        | Some k0 ->
-            errf c ~code:"duplicate-action" ~site:(state_site state)
-              "choices %d and %d both carry action label %d" k0 k action
-        | None -> ());
-        check_choice c ~num_states ~state k ch)
-      cs
 
 (* Unichain reachability on the union graph: if even the union of all
    choices' rates has several closed classes, every policy does, and
@@ -82,18 +37,16 @@ let check_state_choices c ~num_states state (cs : Dpm_ctmdp.Model.choice list) =
    the per-policy singular case is handled at solve time by the
    Tikhonov ladder.  Runs only on a structurally clean table, so every
    target is in range and every rate finite. *)
-let check_unichain c choices_by_state =
+let check_unichain c ~num_states ~num_choices ~choice =
   let succ =
-    Array.map
-      (fun cs ->
-        Array.of_list
-          (List.fold_left
-             (fun acc (ch : Dpm_ctmdp.Model.choice) ->
-               List.fold_left
-                 (fun acc (j, r) -> if r > 0.0 then j :: acc else acc)
-                 acc ch.Dpm_ctmdp.Model.rates)
-             [] cs))
-      choices_by_state
+    Array.init num_states (fun i ->
+        let acc = ref [] in
+        for k = 0 to num_choices i - 1 do
+          List.iter
+            (fun (j, r) -> if r > 0.0 then acc := j :: !acc)
+            (choice i k).Dpm_ctmdp.Model.rates
+        done;
+        Array.of_list !acc)
   in
   match Dpm_ctmc.Structure.closed_classes succ with
   | [] | [ _ ] -> ()
@@ -105,29 +58,38 @@ let check_unichain c choices_by_state =
 
 let choices ~num_states choices_of =
   let c = collector () in
-  if num_states <= 0 then begin
-    errf c ~code:"empty-model" ~site:"model" "num_states = %d" num_states;
-    finish c
-  end
+  if num_states <= 0 then
+    errf c ~code:"empty-model" ~site:"model" "num_states = %d" num_states
   else begin
     let table =
       Array.init num_states (fun i ->
           match choices_of i with
-          | cs -> cs
+          | cs -> Array.of_list cs
           | exception exn ->
-              errf c ~code:"choices-raised" ~site:(state_site i)
+              errf c ~code:"choices-raised"
+                ~site:(Printf.sprintf "state %d" i)
                 "%s" (Printexc.to_string exn);
-              [])
+              [||])
     in
-    Array.iteri (fun i cs -> check_state_choices c ~num_states i cs) table;
-    if Diagnostic.errors c.diags = [] then check_unichain c table;
-    finish c
-  end
+    Array.iteri
+      (fun i cs -> Dpm_ctmdp.Model.check_state ~num_states i cs (error c))
+      table;
+    if not (has_errors c) then
+      check_unichain c ~num_states
+        ~num_choices:(fun i -> Array.length table.(i))
+        ~choice:(fun i k -> table.(i).(k))
+  end;
+  finish c
 
 let model m =
-  choices
-    ~num_states:(Dpm_ctmdp.Model.num_states m)
-    (Dpm_ctmdp.Model.choices m)
+  let c = collector () in
+  Dpm_ctmdp.Model.check m (error c);
+  if not (has_errors c) then
+    check_unichain c
+      ~num_states:(Dpm_ctmdp.Model.num_states m)
+      ~num_choices:(Dpm_ctmdp.Model.num_choices m)
+      ~choice:(Dpm_ctmdp.Model.choice m);
+  finish c
 
 let model_r ~num_states choices_of =
   Dpm_obs.Probe.time "robust.validate_seconds" @@ fun () ->
@@ -141,58 +103,12 @@ let model_r ~num_states choices_of =
 
 (* --- generator matrices -------------------------------------------- *)
 
-let generator_matrix ?(tol = 1e-9) m =
+let generator_matrix m =
   let c = collector () in
-  let n = Matrix.rows m in
-  if Matrix.cols m <> n then begin
-    errf c ~code:"not-square" ~site:"matrix" "%dx%d" n (Matrix.cols m);
-    finish c
-  end
-  else begin
-    for i = 0 to n - 1 do
-      let site = Printf.sprintf "row %d" i in
-      let sum = ref 0.0 in
-      let scale = ref 0.0 in
-      let finite = ref true in
-      for j = 0 to n - 1 do
-        let x = Matrix.get m i j in
-        if not (Float.is_finite x) then begin
-          finite := false;
-          errf c ~code:"non-finite-entry" ~site "entry (%d,%d) is %g" i j x
-        end
-        else begin
-          if j <> i && x < 0.0 then
-            errf c ~code:"negative-rate" ~site "entry (%d,%d) is %g" i j x;
-          sum := !sum +. x;
-          scale := Float.max !scale (Float.abs x)
-        end
-      done;
-      if !finite then
-        if !scale = 0.0 then
-          warnf c ~code:"absorbing-state" ~site "row is all zero"
-        else if Float.abs !sum > tol *. Float.max 1.0 !scale then
-          errf c ~code:"row-sum" ~site "row sums to %g (scale %g)" !sum !scale
-    done;
-    finish c
-  end
+  Dpm_ctmc.Generator.check m ~error:(error c) ~warning:(warning c);
+  finish c
 
 (* --- the composed DPM system --------------------------------------- *)
-
-(* The raw choice table [to_ctmdp] would hand the solvers, exposed so
-   the fault harness can corrupt it {e before} [Model.create]'s own
-   validation sees it. *)
-let system_choices sys ~weight =
-  let states = Sys_model.states sys in
-  fun i ->
-    let x = states.(i) in
-    List.map
-      (fun a ->
-        {
-          Dpm_ctmdp.Model.action = a;
-          rates = Sys_model.transitions sys x ~action:a;
-          cost = Sys_model.cost sys ~weight x ~action:a;
-        })
-      (Sys_model.valid_actions sys x)
 
 let pp_state_str sys x = Format.asprintf "%a" (Sys_model.pp_state sys) x
 
@@ -270,7 +186,6 @@ let system sys =
   (* Generator invariants + unichain reachability, via the same raw
      choice table the solvers consume. *)
   let n = Sys_model.num_states sys in
-  let raw = system_choices sys ~weight:0.0 in
-  let structural = choices ~num_states:n raw in
+  let structural = choices ~num_states:n (Sys_model.choices sys ~weight:0.0) in
   List.iter (push c) structural;
   finish c

@@ -63,14 +63,6 @@ let trace_resolve ~outcome ~now ~rate ~extra =
          :: ("rate", Dpm_trace.Event.Float rate)
          :: extra ())
 
-(* A stored action table is only deployable if it indexes this state
-   space and every entry is a legal command. *)
-let actions_valid sys actions =
-  Array.length actions = Sys_model.num_states sys
-  && Array.for_all2
-       (fun a st -> List.mem a (Sys_model.valid_actions sys st))
-       actions (Sys_model.states sys)
-
 let create ?(weight = 0.0) ?estimator ?(min_observations = 30)
     ?(cooldown = 100.0) ?deadline_s ?checkpoint_path ?(checkpoint_every = 64)
     ?(queue_capacity = 1024) ?backoff ?faults
@@ -179,7 +171,14 @@ let create ?(weight = 0.0) ?estimator ?(min_observations = 30)
               safe_start ~reason:"fingerprint mismatch"
                 ~ingested_base:cp.Checkpoint.events_ingested
                 ~drops_base:cp.Checkpoint.drops
-            else if not (actions_valid sys cp.Checkpoint.actions) then
+            else if
+              (* A stored table is only deployable if it indexes this
+                 state space and every entry is a legal command. *)
+              Array.length cp.Checkpoint.actions <> Sys_model.num_states sys
+              || Result.is_error
+                   (Policies.check_valid sys (fun x ->
+                        cp.Checkpoint.actions.(Sys_model.index sys x)))
+            then
               safe_start ~reason:"invalid action table"
                 ~ingested_base:cp.Checkpoint.events_ingested
                 ~drops_base:cp.Checkpoint.drops

@@ -74,32 +74,25 @@ let of_policy sys policy = of_dynamic_policy sys ~policy:(fun () -> policy)
 
 let of_solution sys (s : Optimize.solution) = of_policy sys (Optimize.action_of sys s)
 
-let heuristic_modes ?sleep_mode ?active_mode sys =
-  let sp = Sys_model.sp sys in
-  let sleep =
-    match sleep_mode with Some m -> m | None -> Service_provider.deepest_sleep sp
-  in
-  let active =
-    match active_mode with Some m -> m | None -> Service_provider.fastest_active sp
-  in
-  (sleep, active)
-
 let always_on sys =
   let active = Service_provider.fastest_active (Sys_model.sp sys) in
   { name = "always-on"; decide = (fun _ _ -> { target = Some active; timer = None }) }
 
-let greedy ?sleep_mode ?active_mode sys =
-  let sleep, active = heuristic_modes ?sleep_mode ?active_mode sys in
+let greedy sys =
+  let sp = Sys_model.sp sys in
+  let sleep = Service_provider.deepest_sleep sp
+  and active = Service_provider.fastest_active sp in
   let decide obs _reason =
     if obs.queue_length > 0 then { target = Some active; timer = None }
     else { target = Some sleep; timer = None }
   in
   { name = "greedy"; decide }
 
-let n_policy ?sleep_mode ?active_mode sys ~n =
+let n_policy sys ~n =
   if n < 1 then invalid_arg "Controller.n_policy: n must be >= 1";
-  let sleep, active = heuristic_modes ?sleep_mode ?active_mode sys in
   let sp = Sys_model.sp sys in
+  let sleep = Service_provider.deepest_sleep sp
+  and active = Service_provider.fastest_active sp in
   let decide obs _reason =
     if obs.queue_length = 0 then { target = Some sleep; timer = None }
     else if obs.queue_length >= n then { target = Some active; timer = None }
@@ -113,11 +106,12 @@ let n_policy ?sleep_mode ?active_mode sys ~n =
   in
   { name = Printf.sprintf "n-policy(%d)" n; decide }
 
-let timeout ?sleep_mode ?active_mode sys ~delay =
+let timeout sys ~delay =
   if delay < 0.0 || not (Float.is_finite delay) then
     invalid_arg "Controller.timeout: delay must be nonnegative and finite";
-  let sleep, active = heuristic_modes ?sleep_mode ?active_mode sys in
   let sp = Sys_model.sp sys in
+  let sleep = Service_provider.deepest_sleep sp
+  and active = Service_provider.fastest_active sp in
   (* [idle_since] is the clock value at which the system last became
      empty with the SP up; a fired timer compares against it so stale
      timers (the queue refilled meanwhile) are ignored. *)

@@ -93,16 +93,17 @@ val of_solution : Dpm_core.Sys_model.t -> Dpm_core.Optimize.solution -> t
 val always_on : Dpm_core.Sys_model.t -> t
 (** Drive to the fastest active mode and stay there. *)
 
-val greedy : ?sleep_mode:int -> ?active_mode:int -> Dpm_core.Sys_model.t -> t
+val greedy : Dpm_core.Sys_model.t -> t
 (** Sleep the instant the system empties; wake the instant a request
-    arrives. *)
+    arrives.  The heuristics sleep to
+    {!Dpm_core.Service_provider.deepest_sleep} and wake to
+    {!Dpm_core.Service_provider.fastest_active}. *)
 
-val n_policy : ?sleep_mode:int -> ?active_mode:int -> Dpm_core.Sys_model.t -> n:int -> t
+val n_policy : Dpm_core.Sys_model.t -> n:int -> t
 (** Sleep when the system empties; wake when [n] requests have
     accumulated. *)
 
-val timeout :
-  ?sleep_mode:int -> ?active_mode:int -> Dpm_core.Sys_model.t -> delay:float -> t
+val timeout : Dpm_core.Sys_model.t -> delay:float -> t
 (** Section V's time-out family: wake on the first waiting request;
     after the system empties, stay in the active mode for [delay]
     seconds and then sleep if still idle. *)

@@ -99,18 +99,6 @@ let to_ctmdp_policy_roundtrip () =
           | Sys_model.Stable (0, _) -> Paper_instance.sleeping
           | x -> Policies.always_on s x)))
 
-let custom_modes_respected () =
-  let s = sys () in
-  let p =
-    Policies.greedy ~sleep_mode:Paper_instance.waiting
-      ~active_mode:Paper_instance.active s
-  in
-  Alcotest.(check int) "waiting as shallow sleep" Paper_instance.waiting
-    (p (Sys_model.Transfer (Paper_instance.active, 1)));
-  Test_util.check_raises_invalid "active mode must be active" (fun () ->
-      ignore (Policies.greedy ~active_mode:Paper_instance.sleeping s
-                (Sys_model.Stable (0, 0))))
-
 let suite =
   [
     t "named policies valid" `Quick all_named_policies_valid;
@@ -121,5 +109,4 @@ let suite =
     t "always-on never sleeps" `Quick always_on_never_sleeps;
     t "check_valid detects violations" `Quick check_valid_detects_violations;
     t "to_ctmdp_policy roundtrip" `Quick to_ctmdp_policy_roundtrip;
-    t "custom modes" `Quick custom_modes_respected;
   ]

@@ -316,7 +316,7 @@ let paper_instance_validates_clean () =
       Alcotest.failf "paper instance rejected: %s" (Diagnostic.to_string d));
   match
     Validate.model_r ~num_states:(Sys_model.num_states sys)
-      (Validate.system_choices sys ~weight:1.0)
+      (Sys_model.choices sys ~weight:1.0)
   with
   | Ok _ -> ()
   | Error e -> Alcotest.failf "paper choices rejected: %s" (Error.to_string e)
@@ -391,7 +391,7 @@ let expected_code = function
 let model_fault_matrix () =
   let sys = Paper_instance.system () in
   let n = Sys_model.num_states sys in
-  let raw = Validate.system_choices sys ~weight:1.0 in
+  let raw = Sys_model.choices sys ~weight:1.0 in
   List.iter
     (fun kind ->
       List.iter
@@ -536,7 +536,7 @@ let diagnostic_text_pinned () =
      its first seed per kind spelled out, all 42 findings digested. *)
   let sys = Paper_instance.system () in
   let n = Sys_model.num_states sys in
-  let raw = Validate.system_choices sys ~weight:1.0 in
+  let raw = Sys_model.choices sys ~weight:1.0 in
   let all = Buffer.create 4096 and count = ref 0 and first = ref [] in
   List.iter
     (fun kind ->
@@ -605,6 +605,153 @@ let validate_allocation () =
   if words > budget then
     Alcotest.failf "Validate.model allocated %.0f words at %d states (budget %.0f)"
       words (Sys_model.num_states sys) budget
+
+(* --- one check, two reporters ---------------------------------------- *)
+
+(* [Model.create] and [Validate.choices] run the same check, so they
+   agree on every table: the constructor raises exactly when the
+   validator reports an error of its own.  Only the validator judges
+   unichain reachability and a [choices_of] that raises. *)
+let validator_only = [ "not-unichain"; "choices-raised" ]
+
+let table_gen =
+  let open QCheck2.Gen in
+  let paper =
+    let sys = Paper_instance.system () in
+    let n = Sys_model.num_states sys in
+    let raw = Sys_model.choices sys ~weight:1.0 in
+    map2
+      (fun seed kinds ->
+        let plan = Fault.plan ~seed:(Int64.of_int seed) kinds in
+        (n, Fault.corrupt_choices plan ~num_states:n raw))
+      (int_range 0 10_000)
+      (list_size (int_range 0 2)
+         (oneofl
+            Fault.
+              [
+                Nan_rate;
+                Negative_rate;
+                Nan_cost;
+                Empty_choice;
+                Bad_target;
+                Duplicate_action;
+              ]))
+  in
+  (* Hand-made tables: out-of-range or self targets, NaN, infinite or
+     negative rates, non-finite costs, empty action sets and duplicate
+     labels, each rare enough that clean tables occur too. *)
+  let hand =
+    int_range 0 4 >>= fun n ->
+    let target =
+      frequency
+        [ (1, return (-1)); (1, return n); (8, int_range 0 (max 0 (n - 1))) ]
+    in
+    let rate =
+      frequency
+        [
+          (12, oneofl [ 0.0; 1.0; 2.5 ]);
+          (1, oneofl [ Float.nan; -1.0; Float.infinity ]);
+        ]
+    in
+    let cost =
+      frequency
+        [ (12, oneofl [ 0.0; 1.5 ]); (1, oneofl [ Float.nan; Float.neg_infinity ]) ]
+    in
+    let choice =
+      map3
+        (fun action cost rates -> { Dpm_ctmdp.Model.action; rates; cost })
+        (int_range 0 5) cost
+        (list_size (int_range 0 2) (pair target rate))
+    in
+    map
+      (fun rows ->
+        let rows = Array.of_list rows in
+        (n, fun i -> rows.(i)))
+      (list_repeat n
+         (list_size (frequency [ (1, return 0); (8, int_range 1 3) ]) choice))
+  in
+  oneof [ paper; hand ]
+
+let create_agrees_with_validate =
+  Test_util.qtest ~count:400 "Model.create raises iff Validate.choices errs"
+    table_gen (fun (num_states, choices_of) ->
+      let raises =
+        match Dpm_ctmdp.Model.create ~num_states choices_of with
+        | _ -> false
+        | exception Invalid_argument _ -> true
+      in
+      let errs =
+        List.filter
+          (fun d -> not (List.mem d.Diagnostic.code validator_only))
+          (Diagnostic.errors (Validate.choices ~num_states choices_of))
+      in
+      raises = (errs <> []))
+
+let of_matrix_raises m =
+  match Dpm_ctmc.Generator.of_matrix m with
+  | _ -> false
+  | exception Dpm_ctmc.Generator.Invalid _ -> true
+
+let matrix_errs m = Diagnostic.errors (Validate.generator_matrix m)
+
+(* Generators at rate scales 1 to 1e6, then at most one fault: a NaN
+   entry, a negative entry, or a row pushed off zero by k * 1e-9 — the
+   band where a relative and an absolute row-sum tolerance disagree. *)
+let matrix_gen =
+  let open QCheck2.Gen in
+  let open Dpm_linalg in
+  int_range 0 4 >>= fun n ->
+  oneofl [ 1.0; 1e3; 1e6 ] >>= fun scale ->
+  list_repeat (n * n) (float_range 0.0 1.0) >>= fun raw ->
+  int_range 0 (max 0 (n - 1)) >>= fun i ->
+  int_range 0 (max 0 (n - 1)) >>= fun j ->
+  int_range (-10) 10 >>= fun k ->
+  frequency
+    [ (1, return `Clean); (1, return `Nan); (1, return `Negative); (3, return `Off) ]
+  >>= fun fault ->
+  let raw = Array.of_list raw in
+  let m =
+    Matrix.init n n (fun r c -> if r = c then 0.0 else scale *. raw.((r * n) + c))
+  in
+  for r = 0 to n - 1 do
+    let out = ref 0.0 in
+    for c = 0 to n - 1 do
+      if c <> r then out := !out +. Matrix.get m r c
+    done;
+    Matrix.set m r r (-. !out)
+  done;
+  (if n > 0 then
+     match fault with
+     | `Clean -> ()
+     | `Nan -> Matrix.set m i j Float.nan
+     | `Negative -> Matrix.set m i j (-1.0)
+     | `Off -> Matrix.update m i i (fun d -> d +. (float_of_int k *. 1e-9)));
+  return m
+
+let of_matrix_agrees_with_validate =
+  Test_util.qtest ~count:400
+    ~print:(Format.asprintf "%a" Dpm_linalg.Matrix.pp)
+    "Generator.of_matrix raises iff Validate.generator_matrix errs" matrix_gen
+    (fun m -> of_matrix_raises m = (matrix_errs m <> []))
+
+(* The two matrices on which the validator once called clean what the
+   constructor refused: the empty matrix, and a row off zero by 5e-9 at
+   scale 10 (inside a relative tolerance, outside the absolute one). *)
+let drifted_matrices_rejected_by_both () =
+  let open Dpm_linalg in
+  List.iter
+    (fun (name, m, want) ->
+      Alcotest.(check bool) (name ^ ": constructor raises") true
+        (of_matrix_raises m);
+      Alcotest.(check (list string))
+        (name ^ ": validator codes") [ want ]
+        (List.map (fun d -> d.Diagnostic.code) (matrix_errs m)))
+    [
+      ("0x0", Matrix.create 0 0, "empty-matrix");
+      ( "row off by 5e-9",
+        Matrix.of_arrays [| [| -10.0; 10.0 +. 5e-9 |]; [| 1.0; -1.0 |] |],
+        "row-sum" );
+    ]
 
 (* --- degrade-gracefully sweeps -------------------------------------- *)
 
@@ -721,4 +868,8 @@ let suite =
     t "rate_sweep_r happy path" `Quick rate_sweep_r_happy_path;
     t "parallel_map_result contains failures per item" `Quick
       parallel_map_result_contains_failures;
+    create_agrees_with_validate;
+    of_matrix_agrees_with_validate;
+    t "generator matrix: the drifted cases are rejected by both" `Quick
+      drifted_matrices_rejected_by_both;
   ]

@@ -97,6 +97,20 @@ let validation () =
   Test_util.check_raises_invalid "shape" (fun () ->
       ignore (Simplex.minimize ~c:[| 1.0 |] ~a:(Matrix.create 1 2) [| 0.0 |]))
 
+(* A duplicated equality row is a caller error, typed like the shape
+   checks: [Invalid_argument], which the failure taxonomy classes as
+   [invalid-argument]. *)
+let redundant_row_is_invalid_argument () =
+  let a = Matrix.of_arrays [| [| 1.0; 1.0 |]; [| 1.0; 1.0 |] |] in
+  match Simplex.minimize ~c:[| 1.0; 1.0 |] ~a [| 1.0; 1.0 |] with
+  | _ -> Alcotest.fail "a redundant row was accepted"
+  | exception (Invalid_argument _ as exn) -> (
+      match Dpm_robust.Error.of_exn exn with
+      | Some (Dpm_robust.Error.Invalid_model [ d ]) ->
+          Alcotest.(check string)
+            "class" "invalid-argument" d.Dpm_robust.Diagnostic.code
+      | _ -> Alcotest.fail "not classed as invalid-argument")
+
 (* Random LPs built around a known feasible point: the solver must
    return a feasible answer at least as good. *)
 let random_lp_gen =
@@ -147,4 +161,6 @@ let suite =
     t "validation" `Quick validation;
     prop_sound_on_random_feasible;
     prop_strong_duality;
+    t "redundant row is a caller error" `Quick
+      redundant_row_is_invalid_argument;
   ]
